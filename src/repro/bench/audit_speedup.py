@@ -29,15 +29,26 @@ from repro.distances import kernels
 from repro.engine.batched import bits_of_model_set
 from repro.engine.pool import run_audit
 from repro.logic.interpretation import Vocabulary
+from repro.logic.semantics import ModelSet
 from repro.postulates.axioms import ALL_AXIOMS, Axiom
 from repro.postulates.counterexample import CheckResult
 from repro.postulates.matrix import SatisfactionMatrix, compute_matrix
+from repro.symbolic.sets import SymbolicModelSet
 
 __all__ = [
     "matrix_checksum",
     "measure_audit_speedup",
     "write_audit_snapshot",
 ]
+
+
+def _set_record(model_set: ModelSet | SymbolicModelSet) -> int | list:
+    """A model set in canonical form: a dense set's bit-vector; a symbolic
+    set's sorted BDD cube cover, which — unlike node ids — does not
+    depend on the manager that built it."""
+    if isinstance(model_set, SymbolicModelSet):
+        return sorted(model_set.manager.iter_cubes(model_set.node))
+    return bits_of_model_set(model_set)
 
 
 def _result_record(result: CheckResult) -> list:
@@ -49,11 +60,11 @@ def _result_record(result: CheckResult) -> list:
                 counterexample.axiom,
                 counterexample.operator,
                 sorted(
-                    (name, bits_of_model_set(role))
+                    (name, _set_record(role))
                     for name, role in counterexample.roles.items()
                 ),
                 sorted(
-                    (name, bits_of_model_set(observed))
+                    (name, _set_record(observed))
                     for name, observed in counterexample.observed.items()
                 ),
             ]
@@ -65,8 +76,9 @@ def matrix_checksum(matrix: SatisfactionMatrix) -> str:
     """Order-independent digest of every cell's full verdict.
 
     Covers hold/fail, scenario counts, exhaustiveness, and the complete
-    counterexample content (roles and observed sets as bit-vectors), so
-    two matrices share a checksum iff the audits are result-identical.
+    counterexample content (roles and observed sets as bit-vectors, or
+    as BDD cube covers for symbolic sets above 16 atoms), so two
+    matrices share a checksum iff the audits are result-identical.
     """
     payload = {
         operator: {

@@ -107,13 +107,16 @@ def measure_worker_warmup(atoms: int = 12, repeats: int = 3) -> dict:
     each path and keeps the best time per mode — warm-up is a latency
     number, and the minimum is the least-noisy estimator of it.
     """
-    from repro.engine.pool import _build_audit_arena
+    from repro.engine.pool import _open_arena, _publish_audit_arrays
 
     vocabulary = Vocabulary([chr(ord("a") + index) for index in range(atoms)])
     operators = standard_operators()
     roster_blob = pickle.dumps((vocabulary, operators))
     start = time.perf_counter()
-    arena = _build_audit_arena(vocabulary, operators, roster_blob, units=())
+    arena = _open_arena(
+        roster_blob,
+        lambda new: _publish_audit_arrays(new, vocabulary, operators, ()),
+    )
     publish_seconds = time.perf_counter() - start
     if arena is None:
         raise ReproError(

@@ -10,9 +10,13 @@ audit checks; this package makes the checking fast:
   numpy bitmask formulas, one per axiom;
 * :mod:`repro.engine.chunks` — deterministic chunking of scenario spaces
   (index ranges for enumeration, captured RNG states for sampling);
-* :mod:`repro.engine.pool` — process-pool fan-out with a deterministic
-  merge, early cancellation under ``stop_at_first``, and a serial
-  fallback bit-identical to the legacy loop;
+* :mod:`repro.engine.pool` — the one chunked sweep runner: process-pool
+  fan-out with a deterministic min-global-index merge, early cancellation
+  under ``stop_at_first``, the shared-memory arena, the resilience ladder,
+  the worker-metrics fold, and a serial fallback bit-identical to the
+  legacy loop.  It runs with one of two chunk evaluators — the Boolean
+  A1–A8 evaluator here, the weighted F1–F8 one in
+  :mod:`repro.engine.weighted`;
 * :mod:`repro.engine.resilience` — the fault-tolerance ladder under the
   fan-out: per-chunk timeouts, bounded retry with backoff, broken-pool
   respawn, and parent-side serial degradation, reported per audit as a
@@ -20,22 +24,25 @@ audit checks; this package makes the checking fast:
 * :mod:`repro.engine.faults` — deterministic fault injection
   (:class:`FaultPlan` / ``REPRO_FAULTS``) so the resilience ladder is
   testable chunk by chunk;
-* :mod:`repro.engine.weighted` — the same strategy for the weighted stack
-  (Section 4): F1–F8 audits over dense mask-indexed weight vectors with
-  one shared distance matrix per operator and per-ψ̃ key caching;
+* :mod:`repro.engine.weighted` — the weighted stack's (Section 4)
+  evaluator for that runner: F1–F8 audits over dense mask-indexed weight
+  vectors with one shared distance matrix per operator and per-ψ̃ key
+  caching;
 * :mod:`repro.engine.shm` — zero-copy shared-memory arenas: the parent
   publishes each distance matrix / apply table / pickled roster once and
   pool workers map read-only views instead of rebuilding, with
   bit-identical per-segment fallback;
 * :mod:`repro.engine.journal` — the durable chunk journal behind
   ``repro audit --journal/--resume``: completed chunks are fsynced to
-  disk and a killed sweep resumes to a cell-identical matrix.
+  disk and a killed sweep resumes to a cell-identical matrix.  Boolean
+  sweeps only: ``repro audit --weighted --journal`` is refused.
 
-Entry points: :func:`run_audit` for full operator × axiom sweeps (used by
+Entry points: :func:`run_audit` for operator × axiom sweeps (used by
+``repro.postulates.harness.check_axiom(jobs=...)``,
 ``repro.postulates.matrix.compute_matrix(jobs=...)`` and the CLI's
-``repro audit --jobs``), :func:`check_axiom_parallel` for one pair;
-:func:`run_weighted_audit` / :func:`check_weighted_axiom_parallel` for
-their weighted counterparts.
+``repro audit --jobs``) and :func:`run_weighted_audit` for F1–F8 sweeps
+of one weighted operator (used by ``check_weighted_axiom(jobs=...)``,
+``audit_weighted_operator(jobs=...)`` and ``repro audit --weighted``).
 """
 
 from repro.engine.batched import (
@@ -69,7 +76,6 @@ from repro.engine.pool import (
     ChunkOutcome,
     ChunkTask,
     EngineStats,
-    check_axiom_parallel,
     run_audit,
 )
 from repro.engine.resilience import (
@@ -91,9 +97,7 @@ from repro.engine.weighted import (
     MAX_DENSE_ATOMS,
     DenseWeightedOperator,
     WeightedAuditOutcome,
-    WeightedChunkOutcome,
     WeightedChunkTask,
-    check_weighted_axiom_parallel,
     run_weighted_audit,
 )
 
@@ -120,7 +124,6 @@ __all__ = [
     "ChunkOutcome",
     "ChunkTask",
     "EngineStats",
-    "check_axiom_parallel",
     "run_audit",
     "DEFAULT_MAX_RETRIES",
     "FailureRecord",
@@ -142,8 +145,6 @@ __all__ = [
     "MAX_DENSE_ATOMS",
     "DenseWeightedOperator",
     "WeightedAuditOutcome",
-    "WeightedChunkOutcome",
     "WeightedChunkTask",
-    "check_weighted_axiom_parallel",
     "run_weighted_audit",
 ]

@@ -6,6 +6,14 @@ ships the operator roster to pool workers once via the pool initializer,
 and evaluates each chunk with the batched machinery
 (:mod:`repro.engine.batched` / :mod:`repro.engine.bitops`).
 
+The pool machinery itself is one sweep runner shared by both representations
+of the paper's semantics: :func:`run_audit` (A1–A8 over Boolean model
+sets) and :func:`repro.engine.weighted.run_weighted_audit` (F1–F8 over
+Section 4's weighted knowledge bases) differ only in how they plan units,
+build chunk tasks, evaluate a chunk, publish arena arrays and run their
+``jobs=1`` loop; everything else — roster shipping, the arena, the
+resilience ladder, the merge and the metrics fold — is :func:`_run_sweep`.
+
 Determinism is the design constraint, parallelism the payoff:
 
 * scenario order is global and reproducible (index ranges / captured RNG
@@ -44,16 +52,17 @@ Two orthogonal run-scale layers ride on the same chunk determinism:
   to the rebuild path per segment, bit-identically.  ``shm=None`` (the
   default) auto-enables when available; the ``REPRO_SHM`` environment
   variable (``0``/``1``) overrides either way.
-* **journaled resume** (:mod:`repro.engine.journal`): with
-  ``journal_dir`` every completed chunk is durably recorded; a killed
-  sweep resumed with ``resume=True`` replays the records through the
-  same min-global-index merge, skips exactly the completed chunks, and
-  produces a cell-identical matrix — including ``stop_at_first`` runs,
-  where a pre-kill counterexample stays the reported (first) one.
+* **journaled resume** (:mod:`repro.engine.journal`, Boolean sweeps
+  only): with ``journal_dir`` every completed chunk is durably recorded;
+  a killed sweep resumed with ``resume=True`` replays the records through
+  the same min-global-index merge, skips exactly the completed chunks,
+  and produces a cell-identical matrix — including ``stop_at_first``
+  runs, where a pre-kill counterexample stays the reported (first) one.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import random
@@ -61,7 +70,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 try:  # pragma: no cover - numpy is baked into the container
     import numpy as np
@@ -105,13 +114,15 @@ from repro.operators.base import TheoryChangeOperator
 from repro.postulates.axioms import Axiom
 from repro.postulates.counterexample import CheckResult, Counterexample
 
+if TYPE_CHECKING:
+    from repro.postulates.weighted_axioms import WeightedCounterexample
+
 __all__ = [
     "ChunkTask",
     "ChunkOutcome",
     "EngineStats",
     "AuditOutcome",
     "run_audit",
-    "check_axiom_parallel",
 ]
 
 
@@ -137,12 +148,14 @@ class ChunkTask:
 
 @dataclass(frozen=True)
 class ChunkOutcome:
-    """A worker's verdict on one chunk.
+    """A worker's verdict on one chunk, from either engine.
 
     ``first_offset`` is the in-chunk offset of the earliest failing
     scenario (``chunk.start + first_offset`` is its global index), with
-    its reconstructed counterexample.  Cache counters are deltas, so the
-    parent can sum them across chunks and workers.
+    its reconstructed counterexample — a :class:`Counterexample` from the
+    Boolean engine, a ``WeightedCounterexample`` from the weighted one.
+    Cache counters are deltas, so the parent can sum them across chunks
+    and workers.
 
     ``seconds`` is the chunk's worker-side wall time.  When observability
     is active, ``metrics`` carries the worker registry's full snapshot
@@ -155,7 +168,7 @@ class ChunkOutcome:
     ordinal: int
     start: int
     first_offset: Optional[int]
-    counterexample: Optional[Counterexample]
+    counterexample: Optional[Counterexample | WeightedCounterexample]
     key_hits: int = 0
     key_misses: int = 0
     result_hits: int = 0
@@ -209,12 +222,122 @@ class AuditOutcome:
     failures: FailureReport = field(default_factory=FailureReport)
 
 
-# -- worker side ----------------------------------------------------------------
+# -- worker side (both engines) -------------------------------------------------
 
-#: Per-process state: the unpickled vocabulary, batched operator roster,
-#: and lazily built apply tables, installed by the pool initializer so
-#: every chunk of every audit in the run reuses them.
-_WORKER_STATE: Optional[dict] = None
+
+@dataclass
+class _Worker:
+    """Per-process state installed by the pool initializer: the engine's
+    chunk evaluator, the state it evaluates against (rebuilt once from the
+    pickled roster, so every chunk of the run reuses it), the
+    fault-injection plan shipped by the parent (tests/chaos lanes only),
+    and a monotone counter stamped onto outcomes so the parent can order
+    this worker's registry snapshots without trusting delivery order."""
+
+    evaluate: Callable[[dict, Any], ChunkOutcome]
+    state: dict
+    faults: Optional[FaultPlan]
+    seq: int = 0
+
+
+_WORKER: Optional[_Worker] = None
+
+
+def _init_worker(payload: bytes) -> None:
+    global _WORKER
+    obs_enabled, faults, directory, roster_blob, build_state, evaluate = (
+        pickle.loads(payload)
+    )
+    # Start every worker from a fresh registry — before attaching the
+    # arena or building worker state, so mapped-vs-rebuilt work is
+    # attributed to this worker.  Under the fork start method the child
+    # inherits the parent's counters, and merging an inherited registry
+    # back would double-count the parent's history.
+    if obs_enabled:
+        obs.enable(obs.MetricsRegistry())
+    else:
+        obs.disable()
+    arena: Optional[ArenaView] = None
+    if directory is not None:
+        arena = ArenaView.attach(directory)
+        if roster_blob is None:
+            roster_blob = arena.blob("roster")
+    if roster_blob is None:
+        # The roster was arena-only and its segment failed verification;
+        # there is nothing to evaluate against.  Raising routes the run
+        # through the resilience ladder down to the parent's serial
+        # path, which never needs the arena.
+        raise RuntimeError(
+            "audit worker: operator roster unavailable (arena attach failed)"
+        )
+    vocabulary, roster = pickle.loads(roster_blob)
+    _WORKER = _Worker(evaluate, build_state(vocabulary, roster, arena), faults)
+
+
+def _run_chunk(task) -> ChunkOutcome:
+    worker = _WORKER
+    assert worker is not None, "pool worker used before initialization"
+    # Injected faults fire only here — the worker entry point — never in
+    # the parent's serial re-evaluation, so degradation always terminates.
+    trip(worker.faults, task.unit, task.chunk.ordinal, task.attempt)
+    outcome = worker.evaluate(worker.state, task)
+    registry = obs.active()
+    if registry is None:
+        return outcome
+    # Ship the worker's cumulative registry with each outcome; the parent
+    # keeps only the freshest (pid, seq) snapshot per worker and merges
+    # once at the end of the run.
+    worker.seq += 1
+    return replace(
+        outcome, pid=os.getpid(), seq=worker.seq, metrics=registry.snapshot()
+    )
+
+
+def _cache_snapshot(operator) -> tuple[int, int, int, int]:
+    info = operator.cache_info()
+    return (
+        info["keys"].hits,
+        info["keys"].misses,
+        info["results"].hits,
+        info["results"].misses,
+    )
+
+
+def _chunk_outcome(
+    task,
+    operator,
+    prefix: str,
+    started: float,
+    before: tuple[int, int, int, int],
+    first_offset: Optional[int],
+    counterexample,
+) -> ChunkOutcome:
+    """Close one chunk's evaluation: the operator's cache-counter deltas
+    since ``before``, the wall time since ``started``, and the
+    ``<prefix>chunks_completed`` / ``scenarios`` / ``chunk_seconds``
+    metrics."""
+    after = _cache_snapshot(operator)
+    elapsed = time.perf_counter() - started
+    registry = obs.active()
+    if registry is not None:
+        registry.counter(prefix + "chunks_completed").inc()
+        registry.counter(prefix + "scenarios").inc(task.chunk.count)
+        registry.histogram(prefix + "chunk_seconds").observe(elapsed)
+    return ChunkOutcome(
+        unit=task.unit,
+        ordinal=task.chunk.ordinal,
+        start=task.chunk.start,
+        first_offset=first_offset,
+        counterexample=counterexample,
+        key_hits=after[0] - before[0],
+        key_misses=after[1] - before[1],
+        result_hits=after[2] - before[2],
+        result_misses=after[3] - before[3],
+        seconds=elapsed,
+    )
+
+
+# -- worker side (Boolean engine) -----------------------------------------------
 
 
 def _build_worker_state(
@@ -248,55 +371,6 @@ def _build_worker_state(
     }
 
 
-#: Monotone per-process counter stamped onto outcomes so the parent can
-#: order a worker's registry snapshots without trusting delivery order.
-_WORKER_SEQ = 0
-
-#: The fault-injection plan shipped by the parent (tests/chaos lanes
-#: only; ``None`` in production runs).
-_WORKER_FAULTS: Optional[FaultPlan] = None
-
-
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_STATE, _WORKER_SEQ, _WORKER_FAULTS
-    obs_enabled, _WORKER_FAULTS, directory, roster_blob = pickle.loads(payload)
-    _WORKER_SEQ = 0
-    # Start every worker from a fresh registry — before attaching the
-    # arena or building worker state, so mapped-vs-rebuilt work is
-    # attributed to this worker.  Under the fork start method the child
-    # inherits the parent's counters, and merging an inherited registry
-    # back would double-count the parent's history.
-    if obs_enabled:
-        obs.enable(obs.MetricsRegistry())
-    else:
-        obs.disable()
-    arena: Optional[ArenaView] = None
-    if directory is not None:
-        arena = ArenaView.attach(directory)
-        if roster_blob is None:
-            roster_blob = arena.blob("roster")
-    if roster_blob is None:
-        # The roster was arena-only and its segment failed verification;
-        # there is nothing to evaluate against.  Raising routes the run
-        # through the resilience ladder down to the parent's serial
-        # path, which never needs the arena.
-        raise RuntimeError(
-            "audit worker: operator roster unavailable (arena attach failed)"
-        )
-    vocabulary, operators = pickle.loads(roster_blob)
-    _WORKER_STATE = _build_worker_state(vocabulary, operators, arena)
-
-
-def _cache_snapshot(operator: BatchedOperator) -> tuple[int, int, int, int]:
-    info = operator.cache_info()
-    return (
-        info["keys"].hits,
-        info["keys"].misses,
-        info["results"].hits,
-        info["results"].misses,
-    )
-
-
 def evaluate_chunk(state: dict, task: ChunkTask) -> ChunkOutcome:
     """Evaluate one chunk against the worker state.
 
@@ -305,7 +379,7 @@ def evaluate_chunk(state: dict, task: ChunkTask) -> ChunkOutcome:
     """
     vocabulary: Vocabulary = state["vocabulary"]
     operator: BatchedOperator = state["operators"][task.op_index]
-    chunk_start = time.perf_counter()
+    started = time.perf_counter()
     before = _cache_snapshot(operator)
     plan = ScenarioPlan(
         roles=task.roles,
@@ -353,64 +427,30 @@ def evaluate_chunk(state: dict, task: ChunkTask) -> ChunkOutcome:
                 f"bit evaluator for {task.axiom.name} flagged a scenario the "
                 f"scalar checker accepts (operator {operator.name})"
             )
-    after = _cache_snapshot(operator)
-    elapsed = time.perf_counter() - chunk_start
-    registry = obs.active()
-    if registry is not None:
-        registry.counter("engine.chunks_completed").inc()
-        registry.counter("engine.scenarios").inc(task.chunk.count)
-        registry.histogram("engine.chunk_seconds").observe(elapsed)
-    return ChunkOutcome(
-        unit=task.unit,
-        ordinal=task.chunk.ordinal,
-        start=task.chunk.start,
-        first_offset=first_offset,
-        counterexample=counterexample,
-        key_hits=after[0] - before[0],
-        key_misses=after[1] - before[1],
-        result_hits=after[2] - before[2],
-        result_misses=after[3] - before[3],
-        seconds=elapsed,
+    return _chunk_outcome(
+        task, operator, "engine.", started, before, first_offset, counterexample
     )
 
 
-def _run_chunk(task: ChunkTask) -> ChunkOutcome:
-    global _WORKER_SEQ
-    assert _WORKER_STATE is not None, "pool worker used before initialization"
-    # Injected faults fire only here — the worker entry point — never in
-    # the parent's serial re-evaluation, so degradation always terminates.
-    trip(_WORKER_FAULTS, task.unit, task.chunk.ordinal, task.attempt)
-    outcome = evaluate_chunk(_WORKER_STATE, task)
-    registry = obs.active()
-    if registry is None:
-        return outcome
-    # Ship the worker's cumulative registry with each outcome; the parent
-    # keeps only the freshest (pid, seq) snapshot per worker and merges
-    # once at the end of the run.
-    _WORKER_SEQ += 1
-    return replace(
-        outcome, pid=os.getpid(), seq=_WORKER_SEQ, metrics=registry.snapshot()
-    )
-
-
-# -- parent side ----------------------------------------------------------------
+# -- parent side (both engines) -------------------------------------------------
 
 
 @dataclass
 class _Unit:
-    """Parent-side bookkeeping for one (operator, axiom) audit.
+    """Parent-side bookkeeping for one audited axiom — in Boolean sweeps,
+    of the operator named ``operator_name``.
 
     ``op_index`` is the operator's *enumeration* position in the audited
     roster — never recovered via ``operators.index(...)``, which resolves
     equal-comparing operators to the wrong element.
     """
 
-    operator: TheoryChangeOperator
-    op_index: int
-    axiom: Axiom
-    plan: ScenarioPlan
+    axiom: Any  # Axiom | WeightedAxiom
+    plan: Any  # ScenarioPlan | WeightedScenarioPlan
+    op_index: int = 0
+    operator_name: str = ""
     best_index: Optional[int] = None
-    counterexample: Optional[Counterexample] = None
+    counterexample: Optional[Counterexample | WeightedCounterexample] = None
 
     def absorb(self, outcome: ChunkOutcome) -> bool:
         """Merge a chunk outcome; True iff the best failure improved."""
@@ -429,7 +469,7 @@ class _Unit:
             checked = self.best_index + 1
         return CheckResult(
             axiom=self.axiom.name,
-            operator=self.operator.name,
+            operator=self.operator_name,
             holds=self.best_index is None,
             scenarios_checked=checked,
             exhaustive=self.plan.exhaustive,
@@ -440,6 +480,287 @@ class _Unit:
                 and not self.plan.exhaustive,
             },
         )
+
+
+def _ensure_unique(names: Sequence[str], what: str) -> None:
+    """Results are keyed by name; duplicates would silently clobber."""
+    seen: set[str] = set()
+    duplicates = sorted({name for name in names if name in seen or seen.add(name)})
+    if duplicates:
+        raise ValueError(
+            f"duplicate {what} name(s) in audit roster: {duplicates}; "
+            f"results are keyed by name, so every {what} needs a distinct one"
+        )
+
+
+def _record_run(prefix: str, stats: EngineStats) -> None:
+    """The parent's per-run metrics, pool or serial: ``<prefix>audits``,
+    ``<prefix>audit_seconds`` and ``<prefix>scenarios_per_second``."""
+    registry = obs.active()
+    if registry is None:
+        return
+    registry.counter(prefix + "audits").inc()
+    registry.histogram(prefix + "audit_seconds").observe(stats.elapsed_seconds)
+    if stats.elapsed_seconds > 0:
+        registry.gauge(prefix + "scenarios_per_second").set(
+            stats.scenarios / stats.elapsed_seconds
+        )
+
+
+def _open_arena(
+    roster_blob: bytes, publish: Callable[[Arena], None]
+) -> Optional[Arena]:
+    """An arena holding whatever arrays ``publish`` puts in it, plus the
+    pickled roster so pool respawns re-map it instead of re-receiving it.
+
+    If ``publish`` leaves no array segment the arena is pointless and
+    ``None`` is returned — the run then behaves exactly as before the
+    zero-copy layer existed.
+    """
+    arena = Arena()
+    try:
+        publish(arena)
+        if not any(spec.dtype is not None for spec in arena.directory().segments):
+            arena.close()
+            return None
+        arena.publish_bytes("roster", roster_blob)
+        return arena
+    except Exception:
+        arena.close()
+        raise
+
+
+def _run_sweep(
+    outcome,
+    kind: str,
+    roster: tuple,
+    plan: Callable[[], list[_Unit]],
+    make_task: Callable[[int, _Unit, ChunkSpec], Any],
+    build_state: Callable[..., dict],
+    evaluate: Callable[[dict, Any], ChunkOutcome],
+    publish: Callable[[Arena, list[_Unit]], None],
+    jobs: int,
+    stop_at_first: bool,
+    chunk_timeout: Optional[float],
+    max_retries: int,
+    faults: Optional[FaultPlan],
+    shm: Optional[bool],
+    journal: Optional[
+        Callable[[list[_Unit]], tuple[ChunkJournal, set[tuple[int, int]]]]
+    ] = None,
+) -> Optional[list[_Unit]]:
+    """Run one chunked sweep through the process pool — the single runner
+    behind :func:`run_audit` and
+    :func:`repro.engine.weighted.run_weighted_audit`.
+
+    ``kind`` names the engine (``""`` Boolean, ``"weighted_"`` weighted):
+    every metric is ``engine.<kind>…`` and the span
+    ``engine.run_<kind>audit``.  Workers unpickle ``roster`` — a
+    ``(vocabulary, operators)`` pair — and build their state with the
+    module-level ``build_state(vocabulary, operators, arena)``; the
+    module-level ``evaluate(state, task)`` runs each chunk there, and in
+    the parent for chunks that exhausted their retries.  ``plan()``
+    returns the units in legacy order, ``make_task(unit_id, unit,
+    chunk)`` builds one chunk's task, and ``publish(arena, units)`` puts
+    the arrays workers would otherwise rebuild in the arena.
+    ``journal(units)``, when given, opens the chunk journal, replays its
+    records into ``units``, and returns it with the completed
+    ``(unit, ordinal)`` pairs; every chunk is then journaled before it
+    is merged.
+
+    Fills ``outcome.stats`` / ``outcome.failures`` and returns the merged
+    units.  Returns ``None`` — before planning, so a caller-owned
+    ``random.Random`` is still untouched — when the caller must run its
+    serial loop instead: at ``jobs=1``, or when the roster does not
+    pickle.
+    """
+    if jobs == 1:
+        return None
+    prefix = f"engine.{kind}"
+    label = kind.replace("_", " ") + "audit engine"
+    # One serialization per run: these bytes are reused verbatim — inside
+    # the initializer payload or mapped from the arena — by every pool
+    # (re)spawn, never re-pickled.
+    try:
+        roster_blob = pickle.dumps(roster)
+    except Exception as error:  # pickling contract violated by a custom operator
+        if journal is not None:
+            raise ReproError(
+                f"journaled audit: operator roster does not pickle ({error}); "
+                "the serial fallback cannot honor a chunk journal"
+            ) from error
+        warnings.warn(
+            f"{label}: operator roster does not pickle ({error}); "
+            "falling back to the serial loop",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+    if faults is None:
+        faults = FaultPlan.from_env()
+    units = plan()
+    stats: EngineStats = outcome.stats
+    run_start = time.perf_counter()
+    chunk_journal: Optional[ChunkJournal] = None
+    completed: set[tuple[int, int]] = set()
+    if journal is not None:
+        chunk_journal, completed = journal(units)
+    stats.chunks_skipped = len(completed)
+
+    env_shm = os.environ.get("REPRO_SHM", "").strip()
+    if env_shm in {"0", "1"}:
+        shm = env_shm == "1"
+    if shm and not shm_available():
+        warnings.warn(
+            f"{label}: shared-memory arenas unavailable (numpy or "
+            "multiprocessing.shared_memory missing); workers will rebuild "
+            "their state",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    arena: Optional[Arena] = None
+    if (shm is None or shm) and shm_available():
+        arena = _open_arena(roster_blob, lambda new: publish(new, units))
+    if arena is not None:
+        stats.shm_segments = arena.segment_count
+        stats.shm_bytes = arena.bytes_published
+    payload = pickle.dumps(
+        (
+            obs.enabled(),
+            faults,
+            None if arena is None else arena.directory(),
+            roster_blob if arena is None else None,
+            build_state,
+            evaluate,
+        )
+    )
+    # Freshest worker registry snapshot per pid: {pid: (seq, snapshot)}.
+    worker_metrics: dict[int, tuple[int, dict]] = {}
+    context = (
+        multiprocessing.get_context("fork")
+        if "fork" in multiprocessing.get_all_start_methods()
+        else None
+    )
+
+    def make_executor() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=jobs,
+            initializer=_init_worker,
+            initargs=(payload,),
+            mp_context=context,
+        )
+
+    def handle_outcome(task, chunk_outcome: ChunkOutcome) -> bool:
+        stats.chunks += 1
+        stats.scenarios += task.chunk.count
+        stats.key_hits += chunk_outcome.key_hits
+        stats.key_misses += chunk_outcome.key_misses
+        stats.result_hits += chunk_outcome.result_hits
+        stats.result_misses += chunk_outcome.result_misses
+        stats.chunk_seconds += chunk_outcome.seconds
+        if chunk_outcome.metrics is not None:
+            stored = worker_metrics.get(chunk_outcome.pid)
+            if stored is None or chunk_outcome.seq > stored[0]:
+                worker_metrics[chunk_outcome.pid] = (
+                    chunk_outcome.seq,
+                    chunk_outcome.metrics,
+                )
+        if chunk_journal is not None:
+            # Durably record the chunk before merging it, so the journal
+            # only ever names chunks that were fully evaluated.
+            chunk_journal.append_chunk(
+                encode_chunk_record(chunk_outcome, task.chunk.count)
+            )
+        return units[chunk_outcome.unit].absorb(chunk_outcome)
+
+    def may_skip(task) -> bool:
+        # Only chunks that start *after* the unit's best failure can be
+        # skipped: an earlier chunk may still hold the globally first
+        # counterexample.
+        unit = units[task.unit]
+        return (
+            stop_at_first
+            and unit.best_index is not None
+            and task.chunk.start > unit.best_index
+        )
+
+    parent_state: dict = {}
+
+    def serial_eval(task) -> ChunkOutcome:
+        # Last-resort degradation: the parent evaluates the chunk with
+        # the exact worker code path (fault injection never fires here).
+        if not parent_state:
+            parent_state.update(
+                build_state(*roster, None if arena is None else arena.view())
+            )
+        return evaluate(parent_state, task)
+
+    def on_restart() -> None:
+        # A respawned pool's workers re-attach the same arena names; a
+        # vanished segment would mean silent rebuild storms in every new
+        # worker, so surface it (attaches still degrade gracefully).
+        if arena is None:
+            return
+        missing = arena.verify()
+        if missing:
+            warnings.warn(
+                f"{label}: {len(missing)} arena segment(s) vanished across "
+                "a pool restart; respawned workers will rebuild locally",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    tasks = [
+        make_task(unit_id, unit, chunk)
+        for unit_id, unit in enumerate(units)
+        for chunk in unit.plan.chunks
+        if (unit_id, chunk.ordinal) not in completed
+    ]
+    config = ResilienceConfig(chunk_timeout=chunk_timeout, max_retries=max_retries)
+    try:
+        with obs.span(f"engine.run_{kind}audit", jobs=jobs, units=len(units)):
+            outcome.failures = run_resilient(
+                tasks,
+                _run_chunk,
+                make_executor,
+                handle_outcome,
+                may_skip,
+                serial_eval,
+                config,
+                metric_prefix=prefix,
+                on_restart=on_restart,
+            )
+    finally:
+        # The sole unlink point: workers (dead or alive) never own the
+        # names, so closing here on every exit path keeps /dev/shm clean.
+        if arena is not None:
+            arena.close()
+    stats.retries = outcome.failures.retries
+    stats.worker_crashes = outcome.failures.worker_crashes
+    stats.pool_restarts = outcome.failures.pool_restarts
+    stats.chunks_degraded = outcome.failures.chunks_degraded
+    stats.elapsed_seconds = time.perf_counter() - run_start
+    registry = obs.active()
+    if registry is not None:
+        # Fold each worker's registry into the parent exactly once, then
+        # record the parent-side aggregates for this run.
+        for _, snapshot in worker_metrics.values():
+            registry.merge_snapshot(snapshot)
+        registry.gauge("engine.shm_segments").set(stats.shm_segments)
+        if arena is not None:
+            # Ensure the worker-side arena counters exist in the payload
+            # even when every attach succeeded with nothing to count.
+            registry.counter("engine.shm_bytes_mapped")
+            registry.counter("engine.shm_attach_failures")
+        if stats.chunks_skipped:
+            registry.counter("engine.chunks_skipped_resume").inc(
+                stats.chunks_skipped
+            )
+    _record_run(prefix, stats)
+    return units
+
+
+# -- parent side (Boolean engine) -----------------------------------------------
 
 
 def _plan_units(
@@ -464,19 +785,21 @@ def _plan_units(
             plan = plan_scenarios(
                 vocabulary, len(axiom.roles), max_scenarios, generator, chunk_size
             )
-            units.append(_Unit(operator, op_index, axiom, plan))
+            units.append(_Unit(axiom, plan, op_index, operator.name))
     return units
 
 
-def _ensure_unique(names: Sequence[str], what: str) -> None:
-    """Results are keyed by name; duplicates would silently clobber."""
-    seen: set[str] = set()
-    duplicates = sorted({name for name in names if name in seen or seen.add(name)})
-    if duplicates:
-        raise ValueError(
-            f"duplicate {what} name(s) in audit roster: {duplicates}; "
-            f"results are keyed by name, so every {what} needs a distinct one"
-        )
+def _chunk_task(unit_id: int, unit: _Unit, chunk: ChunkSpec) -> ChunkTask:
+    return ChunkTask(
+        unit=unit_id,
+        op_index=unit.op_index,
+        axiom=unit.axiom,
+        plan_mode=unit.plan.mode,
+        roles=unit.plan.roles,
+        kb_universe=unit.plan.kb_universe,
+        interpretation_count=unit.plan.interpretation_count,
+        chunk=chunk,
+    )
 
 
 def _serial_audit(
@@ -512,16 +835,7 @@ def _serial_audit(
             outcome.results.setdefault(operator.name, {})[axiom.name] = result
             outcome.stats.scenarios += result.scenarios_checked
     outcome.stats.elapsed_seconds = time.perf_counter() - start
-    registry = obs.active()
-    if registry is not None:
-        registry.counter("engine.audits").inc()
-        registry.histogram("engine.audit_seconds").observe(
-            outcome.stats.elapsed_seconds
-        )
-        if outcome.stats.elapsed_seconds > 0:
-            registry.gauge("engine.scenarios_per_second").set(
-                outcome.stats.scenarios / outcome.stats.elapsed_seconds
-            )
+    _record_run("engine.", outcome.stats)
     return outcome
 
 
@@ -531,64 +845,49 @@ def _serial_audit(
 TABLE_PREFILL_MIN_SCENARIOS = 4096
 
 
-def _build_audit_arena(
+def _publish_audit_arrays(
+    arena: Arena,
     vocabulary: Vocabulary,
     operators: Sequence[TheoryChangeOperator],
-    roster_blob: bytes,
     units: Sequence[_Unit],
-) -> Optional[Arena]:
-    """Publish everything pool workers would otherwise rebuild.
+) -> None:
+    """Publish everything Boolean pool workers would otherwise rebuild.
 
     Per matrix-batchable operator: its dense distance matrix, built once
     per *distinct metric* (most standard operators share the Hamming
     matrix; the arena additionally content-deduplicates byte-identical
     payloads onto one OS segment) and, when the sweep is big enough to
     amortize it, the complete apply table
-    (:func:`~repro.engine.bitops.full_apply_table`).  The pickled roster
-    rides along so pool respawns re-map it instead of re-receiving it.
-
-    Payloads under :data:`~repro.engine.shm.MIN_SHARED_BYTES` are not
-    worth their page/attach overhead and are skipped; if that leaves no
-    array segment the arena is pointless and ``None`` is returned — the
-    run then behaves exactly as before this layer existed.
+    (:func:`~repro.engine.bitops.full_apply_table`).  Payloads under
+    :data:`~repro.engine.shm.MIN_SHARED_BYTES` are not worth their
+    page/attach overhead and are skipped.
     """
-    arena = Arena()
-    try:
-        kb_universe = units[0].plan.kb_universe if units else 0
-        total_scenarios = sum(unit.plan.total for unit in units)
-        prefill = (
-            supports_table(kb_universe)
-            and total_scenarios >= TABLE_PREFILL_MIN_SCENARIOS
-        )
-        by_metric: dict[bytes, object] = {}
-        for op_index, operator in enumerate(operators):
-            contract = batching_contract(operator, vocabulary)
-            if contract is None:
-                continue
-            _, _, metric = contract
-            fingerprint = pickle.dumps(metric)
-            matrix = by_metric.get(fingerprint)
-            if matrix is None:
-                all_masks = tuple(range(vocabulary.interpretation_count))
-                matrix = np.asarray(
-                    kernels.distance_matrix(all_masks, all_masks, vocabulary, metric)
-                )
-                by_metric[fingerprint] = matrix
-            if matrix.nbytes >= MIN_SHARED_BYTES:
-                arena.publish_array(f"matrix:{op_index}", matrix)
-            if prefill:
-                batched = BatchedOperator(operator, vocabulary, shared_matrix=matrix)
-                table = full_apply_table(batched, kb_universe)
-                if table.nbytes >= MIN_SHARED_BYTES:
-                    arena.publish_array(f"table:{op_index}", table)
-        if not any(spec.dtype is not None for spec in arena.directory().segments):
-            arena.close()
-            return None
-        arena.publish_bytes("roster", roster_blob)
-        return arena
-    except Exception:
-        arena.close()
-        raise
+    kb_universe = units[0].plan.kb_universe if units else 0
+    total_scenarios = sum(unit.plan.total for unit in units)
+    prefill = (
+        supports_table(kb_universe) and total_scenarios >= TABLE_PREFILL_MIN_SCENARIOS
+    )
+    by_metric: dict[bytes, object] = {}
+    for op_index, operator in enumerate(operators):
+        contract = batching_contract(operator, vocabulary)
+        if contract is None:
+            continue
+        _, _, metric = contract
+        fingerprint = pickle.dumps(metric)
+        matrix = by_metric.get(fingerprint)
+        if matrix is None:
+            all_masks = tuple(range(vocabulary.interpretation_count))
+            matrix = np.asarray(
+                kernels.distance_matrix(all_masks, all_masks, vocabulary, metric)
+            )
+            by_metric[fingerprint] = matrix
+        if matrix.nbytes >= MIN_SHARED_BYTES:
+            arena.publish_array(f"matrix:{op_index}", matrix)
+        if prefill:
+            batched = BatchedOperator(operator, vocabulary, shared_matrix=matrix)
+            table = full_apply_table(batched, kb_universe)
+            if table.nbytes >= MIN_SHARED_BYTES:
+                arena.publish_array(f"table:{op_index}", table)
 
 
 def run_audit(
@@ -642,43 +941,8 @@ def run_audit(
                 "instance has no stable identity across processes, so its "
                 "journal could not be validated or resumed"
             )
-    # The serial path must see the caller's RNG untouched: planning
-    # fast-forwards a shared stream, so it happens only on pool paths.
-    if jobs == 1:
-        return _serial_audit(
-            operators, axioms, vocabulary, max_scenarios, rng, stop_at_first
-        )
-    if faults is None:
-        faults = FaultPlan.from_env()
-    # One serialization per run (satellite contract): these bytes are
-    # reused verbatim — inside the initializer payload or mapped from the
-    # arena — by every pool (re)spawn, never re-pickled.
-    try:
-        roster_blob = pickle.dumps((vocabulary, list(operators)))
-    except Exception as error:  # pickling contract violated by a custom operator
-        if journal_dir is not None:
-            raise ReproError(
-                f"journaled audit: operator roster does not pickle ({error}); "
-                "the serial fallback cannot honor a chunk journal"
-            ) from error
-        warnings.warn(
-            f"audit engine: operator roster does not pickle ({error}); "
-            "falling back to the serial harness",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _serial_audit(
-            operators, axioms, vocabulary, max_scenarios, rng, stop_at_first
-        )
-    units = _plan_units(operators, axioms, vocabulary, max_scenarios, rng, chunk_size)
 
-    outcome = AuditOutcome()
-    stats = outcome.stats
-    run_start = time.perf_counter()
-
-    journal: Optional[ChunkJournal] = None
-    completed: set[tuple[int, int]] = set()
-    if journal_dir is not None:
+    def open_journal(units: list[_Unit]) -> tuple[ChunkJournal, set[tuple[int, int]]]:
         journal = ChunkJournal(journal_dir)
         manifest_config = audit_manifest_config(
             vocabulary,
@@ -690,238 +954,60 @@ def run_audit(
             chunk_size,
             [plan_fingerprint(unit.plan) for unit in units],
         )
-        if resume:
-            journal.validate(manifest_config)
-            for record in journal.records():
-                kwargs = decode_chunk_record(vocabulary, record)
-                unit_id, ordinal = kwargs["unit"], kwargs["ordinal"]
-                if not 0 <= unit_id < len(units):
-                    raise ReproError(
-                        f"audit journal names unknown unit {unit_id}"
-                    )
-                if not 0 <= ordinal < len(units[unit_id].plan.chunks):
-                    raise ReproError(
-                        f"audit journal names unknown chunk {ordinal} "
-                        f"of unit {unit_id}"
-                    )
-                if (unit_id, ordinal) in completed:
-                    continue
-                completed.add((unit_id, ordinal))
-                # Replaying through the live run's own merge is what keeps
-                # a pre-kill counterexample FIRST: its global scenario
-                # index wins against anything found after the resume, and
-                # may_skip prunes accordingly.
-                units[unit_id].absorb(ChunkOutcome(**kwargs))
-        else:
+        completed: set[tuple[int, int]] = set()
+        if not resume:
             journal.initialize(manifest_config)
-    stats.chunks_skipped = len(completed)
-
-    env_shm = os.environ.get("REPRO_SHM", "").strip()
-    if env_shm in {"0", "1"}:
-        shm = env_shm == "1"
-    if shm is None:
-        use_shm = shm_available()
-    elif shm and not shm_available():
-        warnings.warn(
-            "audit engine: shared-memory arenas unavailable (numpy or "
-            "multiprocessing.shared_memory missing); workers will rebuild "
-            "their state",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        use_shm = False
-    else:
-        use_shm = shm
-    arena: Optional[Arena] = None
-    if use_shm:
-        arena = _build_audit_arena(vocabulary, operators, roster_blob, units)
-    directory = arena.directory() if arena is not None else None
-    roster_in_arena = directory is not None and directory.find("roster") is not None
-    payload = pickle.dumps(
-        (obs.enabled(), faults, directory, None if roster_in_arena else roster_blob)
-    )
-    if arena is not None:
-        stats.shm_segments = arena.segment_count
-        stats.shm_bytes = arena.bytes_published
-    # Freshest worker registry snapshot per pid: {pid: (seq, snapshot)}.
-    worker_metrics: dict[int, tuple[int, dict]] = {}
-    context = None
-    try:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-    except ImportError:  # pragma: no cover
-        pass
-
-    def make_executor() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(payload,),
-            mp_context=context,
-        )
-
-    def handle_outcome(task: ChunkTask, chunk_outcome: ChunkOutcome) -> bool:
-        unit = units[chunk_outcome.unit]
-        stats.chunks += 1
-        stats.scenarios += task.chunk.count
-        stats.key_hits += chunk_outcome.key_hits
-        stats.key_misses += chunk_outcome.key_misses
-        stats.result_hits += chunk_outcome.result_hits
-        stats.result_misses += chunk_outcome.result_misses
-        stats.chunk_seconds += chunk_outcome.seconds
-        if chunk_outcome.metrics is not None:
-            stored = worker_metrics.get(chunk_outcome.pid)
-            if stored is None or chunk_outcome.seq > stored[0]:
-                worker_metrics[chunk_outcome.pid] = (
-                    chunk_outcome.seq,
-                    chunk_outcome.metrics,
+            return journal, completed
+        journal.validate(manifest_config)
+        for record in journal.records():
+            kwargs = decode_chunk_record(vocabulary, record)
+            unit_id, ordinal = kwargs["unit"], kwargs["ordinal"]
+            if not 0 <= unit_id < len(units):
+                raise ReproError(f"audit journal names unknown unit {unit_id}")
+            if not 0 <= ordinal < len(units[unit_id].plan.chunks):
+                raise ReproError(
+                    f"audit journal names unknown chunk {ordinal} of unit {unit_id}"
                 )
-        if journal is not None:
-            # Durably record the chunk before merging it, so the journal
-            # only ever names chunks that were fully evaluated.
-            journal.append_chunk(encode_chunk_record(chunk_outcome, task.chunk.count))
-        return unit.absorb(chunk_outcome)
+            if (unit_id, ordinal) in completed:
+                continue
+            completed.add((unit_id, ordinal))
+            # Replaying through the live run's own merge is what keeps a
+            # pre-kill counterexample FIRST: its global scenario index
+            # wins against anything found after the resume, and may_skip
+            # prunes accordingly.
+            units[unit_id].absorb(ChunkOutcome(**kwargs))
+        return journal, completed
 
-    def may_skip(task: ChunkTask) -> bool:
-        # Only chunks that start *after* the unit's best failure can be
-        # skipped: an earlier chunk may still hold the globally first
-        # counterexample.
-        unit = units[task.unit]
-        return (
-            stop_at_first
-            and unit.best_index is not None
-            and task.chunk.start > unit.best_index
-        )
-
-    parent_state: dict = {}
-
-    def serial_eval(task: ChunkTask) -> ChunkOutcome:
-        # Last-resort degradation: the parent evaluates the chunk with
-        # the exact worker code path (fault injection never fires here).
-        if not parent_state:
-            parent_state.update(
-                _build_worker_state(
-                    vocabulary,
-                    list(operators),
-                    None if arena is None else arena.view(),
-                )
-            )
-        return evaluate_chunk(parent_state, task)
-
-    def on_restart() -> None:
-        # A respawned pool's workers re-attach the same arena names; a
-        # vanished segment would mean silent rebuild storms in every new
-        # worker, so surface it (attaches still degrade gracefully).
-        if arena is None:
-            return
-        missing = arena.verify()
-        if missing:
-            warnings.warn(
-                f"audit engine: {len(missing)} arena segment(s) vanished "
-                "across a pool restart; respawned workers will rebuild "
-                "locally",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    tasks = [
-        ChunkTask(
-            unit=unit_id,
-            op_index=unit.op_index,
-            axiom=unit.axiom,
-            plan_mode=unit.plan.mode,
-            roles=unit.plan.roles,
-            kb_universe=unit.plan.kb_universe,
-            interpretation_count=unit.plan.interpretation_count,
-            chunk=chunk,
-        )
-        for unit_id, unit in enumerate(units)
-        for chunk in unit.plan.chunks
-        if (unit_id, chunk.ordinal) not in completed
-    ]
-    config = ResilienceConfig(chunk_timeout=chunk_timeout, max_retries=max_retries)
-    try:
-        with obs.span("engine.run_audit", jobs=jobs, units=len(units)):
-            outcome.failures = run_resilient(
-                tasks,
-                _run_chunk,
-                make_executor,
-                handle_outcome,
-                may_skip,
-                serial_eval,
-                config,
-                metric_prefix="engine.",
-                on_restart=on_restart,
-            )
-    finally:
-        # The sole unlink point: workers (dead or alive) never own the
-        # names, so closing here on every exit path keeps /dev/shm clean.
-        if arena is not None:
-            arena.close()
-    stats.retries = outcome.failures.retries
-    stats.worker_crashes = outcome.failures.worker_crashes
-    stats.pool_restarts = outcome.failures.pool_restarts
-    stats.chunks_degraded = outcome.failures.chunks_degraded
-    stats.elapsed_seconds = time.perf_counter() - run_start
-    registry = obs.active()
-    if registry is not None:
-        # Fold each worker's registry into the parent exactly once, then
-        # record the parent-side aggregates for this run.
-        for _, snapshot in worker_metrics.values():
-            registry.merge_snapshot(snapshot)
-        registry.counter("engine.audits").inc()
-        registry.gauge("engine.shm_segments").set(stats.shm_segments)
-        if arena is not None:
-            # Ensure the worker-side arena counters exist in the payload
-            # even when every attach succeeded with nothing to count.
-            registry.counter("engine.shm_bytes_mapped")
-            registry.counter("engine.shm_attach_failures")
-        if stats.chunks_skipped:
-            registry.counter("engine.chunks_skipped_resume").inc(
-                stats.chunks_skipped
-            )
-        registry.histogram("engine.audit_seconds").observe(stats.elapsed_seconds)
-        if stats.elapsed_seconds > 0:
-            registry.gauge("engine.scenarios_per_second").set(
-                stats.scenarios / stats.elapsed_seconds
-            )
-    for unit in units:
-        outcome.results.setdefault(unit.operator.name, {})[
-            unit.axiom.name
-        ] = unit.to_result(stop_at_first)
-    return outcome
-
-
-def check_axiom_parallel(
-    operator: TheoryChangeOperator,
-    axiom: Axiom,
-    vocabulary: Vocabulary,
-    max_scenarios: int = 50_000,
-    rng: int | random.Random = 0,
-    stop_at_first: bool = True,
-    jobs: int = 2,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    chunk_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    faults: Optional[FaultPlan] = None,
-    shm: Optional[bool] = None,
-) -> CheckResult:
-    """Parallel counterpart of :func:`repro.postulates.harness.check_axiom`
-    for a single (operator, axiom) pair."""
-    outcome = run_audit(
-        [operator],
-        [axiom],
-        vocabulary,
-        max_scenarios=max_scenarios,
-        rng=rng,
-        stop_at_first=stop_at_first,
+    outcome = AuditOutcome()
+    units = _run_sweep(
+        outcome,
+        kind="",
+        roster=(vocabulary, list(operators)),
+        plan=lambda: _plan_units(
+            operators, axioms, vocabulary, max_scenarios, rng, chunk_size
+        ),
+        make_task=_chunk_task,
+        build_state=_build_worker_state,
+        evaluate=evaluate_chunk,
+        publish=lambda arena, units: _publish_audit_arrays(
+            arena, vocabulary, operators, units
+        ),
         jobs=jobs,
-        chunk_size=chunk_size,
+        stop_at_first=stop_at_first,
         chunk_timeout=chunk_timeout,
         max_retries=max_retries,
         faults=faults,
         shm=shm,
+        journal=None if journal_dir is None else open_journal,
     )
-    return outcome.results[operator.name][axiom.name]
+    # The serial path must see the caller's RNG untouched: planning
+    # fast-forwards a shared stream, so planning happens only on pool paths.
+    if units is None:
+        return _serial_audit(
+            operators, axioms, vocabulary, max_scenarios, rng, stop_at_first
+        )
+    for unit in units:
+        outcome.results.setdefault(unit.operator_name, {})[
+            unit.axiom.name
+        ] = unit.to_result(stop_at_first)
+    return outcome

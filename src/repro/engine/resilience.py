@@ -211,7 +211,15 @@ def run_resilient(
             return
         flight.started_at = None
         task = replace(flight.task, attempt=flight.attempt)
-        pending[executor.submit(worker_fn, task)] = flight
+        try:
+            future = executor.submit(worker_fn, task)
+        except BrokenProcessPool as error:
+            # A worker died while tasks were still being submitted: park
+            # the flight on an already-failed future, so the crash path
+            # below respawns the pool and resubmits it with the rest.
+            future = Future()
+            future.set_exception(error)
+        pending[future] = flight
 
     def prune() -> None:
         nonlocal delayed

@@ -15,11 +15,13 @@ module gives F1–F8 audits of weighted operators the same architecture:
   float64 array algebra (⊔ = ``+``, ⊓ = ``minimum``, → = ``all(≤)``) —
   exact on the integer-weighted scenarios the samplers produce, because
   IEEE doubles are lossless on integers below 2^53.
-* chunked fan-out over a ``ProcessPoolExecutor`` mirrors the Boolean
-  pool: deterministic captured-RNG chunks
-  (:func:`repro.engine.chunks.plan_weighted_scenarios`), min-global-index
-  counterexample merge, early cancellation under ``stop_at_first``, and
-  worker metrics shipped as ``(pid, seq)``-stamped snapshots.
+* :func:`run_weighted_audit` is the pool's second chunk evaluator: it
+  plans deterministic captured-RNG chunks
+  (:func:`repro.engine.chunks.plan_weighted_scenarios`) and hands them,
+  with :func:`evaluate_weighted_chunk`, to the shared sweep runner of
+  :mod:`repro.engine.pool` — the same min-global-index counterexample
+  merge, early cancellation under ``stop_at_first``, arena, resilience
+  ladder and worker-metrics fold as Boolean sweeps.
 
 Every flagged scenario is re-checked with the scalar Fraction checker
 before being reported — the counterexample objects are exactly the legacy
@@ -30,13 +32,9 @@ through the legacy scalar loop and is identical to it by construction.
 
 from __future__ import annotations
 
-import os
-import pickle
 import random
 import time
-import warnings
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 try:  # pragma: no cover - numpy is baked into the container
@@ -44,7 +42,6 @@ try:  # pragma: no cover - numpy is baked into the container
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-from repro import obs
 from repro.core.weighted import WeightedKnowledgeBase
 from repro.distances import kernels
 from repro.engine.chunks import (
@@ -54,15 +51,19 @@ from repro.engine.chunks import (
     decode_weighted_chunk,
     plan_weighted_scenarios,
 )
-from repro.engine.faults import FaultPlan, trip
-from repro.engine.pool import EngineStats, _ensure_unique
-from repro.engine.resilience import (
-    DEFAULT_MAX_RETRIES,
-    FailureReport,
-    ResilienceConfig,
-    run_resilient,
+from repro.engine.faults import FaultPlan
+from repro.engine.pool import (
+    ChunkOutcome,
+    EngineStats,
+    _cache_snapshot,
+    _chunk_outcome,
+    _run_sweep,
+    _ensure_unique,
+    _record_run,
+    _Unit,
 )
-from repro.engine.shm import MIN_SHARED_BYTES, Arena, ArenaView, shm_available
+from repro.engine.resilience import DEFAULT_MAX_RETRIES, FailureReport
+from repro.engine.shm import MIN_SHARED_BYTES, Arena, ArenaView
 from repro.errors import PostulateError
 from repro.logic.interpretation import Vocabulary
 from repro.orders.cache import AssignmentCache, CacheInfo
@@ -80,11 +81,10 @@ __all__ = [
     "WEIGHTED_DENSE_EVALUATORS",
     "DenseWeightedOperator",
     "WeightedChunkTask",
-    "WeightedChunkOutcome",
     "WeightedAuditOutcome",
     "evaluate_weighted_chunk",
     "run_weighted_audit",
-    "check_weighted_axiom_parallel",
+    "wdist_matrix",
 ]
 
 #: Vocabulary-size ceiling for the shared dense distance matrix: a float64
@@ -98,6 +98,30 @@ WEIGHTED_KEY_CACHE_SIZE = 1024
 
 #: Distinct (ψ̃, μ̃) result vectors kept per operator.
 WEIGHTED_RESULT_CACHE_SIZE = 2048
+
+
+def wdist_matrix(operator: WeightedOperator, vocabulary: Vocabulary):
+    """The float64 distance matrix the dense path evaluates ``operator``
+    on, or ``None`` when :class:`DenseWeightedOperator` must delegate.
+
+    The weighted engine's single eligibility rule — a ``kind="wdist"``
+    assignment builder, an integer-valued metric, a vocabulary within
+    :data:`MAX_DENSE_ATOMS` — shared by the operator and the arena
+    publisher, so the parent publishes a matrix exactly when a worker
+    would build one.
+    """
+    if np is None or vocabulary.size > MAX_DENSE_ATOMS:
+        return None
+    builder = getattr(getattr(operator, "assignment", None), "builder", None)
+    if getattr(builder, "kind", None) != "wdist":
+        return None
+    masks = range(vocabulary.interpretation_count)
+    matrix = np.asarray(
+        kernels.distance_matrix(masks, masks, vocabulary, builder.metric)
+    )
+    if matrix.dtype.kind not in "iu":
+        return None
+    return matrix.astype(np.float64)
 
 
 class DenseWeightedOperator:
@@ -136,31 +160,20 @@ class DenseWeightedOperator:
         self._results = AssignmentCache(
             maxsize=result_cache_size, name="engine.weighted_results"
         )
-        self._matrix = None
-        self._matrix_shared = False
         count = vocabulary.interpretation_count
-        if (
+        # Zero-copy path: the arena published this exact float64 matrix;
+        # mapping it is bit-identical to the rebuild.
+        self._matrix_shared = (
             shared_matrix is not None
             and np is not None
             and getattr(shared_matrix, "shape", None) == (count, count)
             and getattr(shared_matrix, "dtype", None) == np.float64
-        ):
-            # Zero-copy path: the arena published this exact float64
-            # matrix; mapping it is bit-identical to the rebuild below.
-            self._matrix = shared_matrix
-            self._matrix_shared = True
-        elif np is not None and vocabulary.size <= MAX_DENSE_ATOMS:
-            assignment = getattr(operator, "assignment", None)
-            builder = getattr(assignment, "builder", None)
-            if getattr(builder, "kind", None) == "wdist":
-                masks = range(count)
-                matrix = np.asarray(
-                    kernels.distance_matrix(
-                        masks, masks, vocabulary, builder.metric
-                    )
-                )
-                if matrix.dtype.kind in "iu":
-                    self._matrix = matrix.astype(np.float64)
+        )
+        self._matrix = (
+            shared_matrix
+            if self._matrix_shared
+            else wdist_matrix(operator, vocabulary)
+        )
 
     @property
     def dense(self) -> bool:
@@ -331,28 +344,6 @@ class WeightedChunkTask:
     attempt: int = 0
 
 
-@dataclass(frozen=True)
-class WeightedChunkOutcome:
-    """A worker's verdict on one weighted chunk (see
-    :class:`repro.engine.pool.ChunkOutcome` for the field semantics —
-    cache counters are deltas, ``(pid, seq)`` orders cumulative worker
-    metric snapshots)."""
-
-    unit: int
-    ordinal: int
-    start: int
-    first_offset: Optional[int]
-    counterexample: Optional[WeightedCounterexample]
-    key_hits: int = 0
-    key_misses: int = 0
-    result_hits: int = 0
-    result_misses: int = 0
-    seconds: float = 0.0
-    pid: int = 0
-    seq: int = 0
-    metrics: Optional[dict] = None
-
-
 @dataclass
 class WeightedAuditOutcome:
     """Results keyed by axiom name (``None`` = held on every sampled
@@ -365,10 +356,6 @@ class WeightedAuditOutcome:
 
 
 # -- worker side --------------------------------------------------------------------
-
-_WORKER_STATE: Optional[dict] = None
-_WORKER_SEQ = 0
-_WORKER_FAULTS: Optional[FaultPlan] = None
 
 
 def _build_worker_state(
@@ -389,44 +376,6 @@ def _build_worker_state(
     }
 
 
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_STATE, _WORKER_SEQ, _WORKER_FAULTS
-    obs_enabled, _WORKER_FAULTS, directory, roster_blob = pickle.loads(payload)
-    _WORKER_SEQ = 0
-    # Fresh registry before the arena attach and worker state, so
-    # mapped-vs-rebuilt work is attributed to this worker (and forked
-    # parent history is not double-counted).
-    if obs_enabled:
-        obs.enable(obs.MetricsRegistry())
-    else:
-        obs.disable()
-    arena: Optional[ArenaView] = None
-    if directory is not None:
-        arena = ArenaView.attach(directory)
-        if roster_blob is None:
-            roster_blob = arena.blob("roster")
-    if roster_blob is None:
-        # Arena-only roster whose segment failed verification: raising
-        # routes the run down the resilience ladder to the parent's
-        # serial path, which never needs the arena.
-        raise RuntimeError(
-            "weighted audit worker: operator roster unavailable "
-            "(arena attach failed)"
-        )
-    vocabulary, operator = pickle.loads(roster_blob)
-    _WORKER_STATE = _build_worker_state(vocabulary, operator, arena)
-
-
-def _cache_snapshot(operator: DenseWeightedOperator) -> tuple[int, int, int, int]:
-    info = operator.cache_info()
-    return (
-        info["keys"].hits,
-        info["keys"].misses,
-        info["results"].hits,
-        info["results"].misses,
-    )
-
-
 def _vector_of_map(weights: dict[int, int], interpretation_count: int):
     vector = np.zeros(interpretation_count, dtype=np.float64)
     for mask, weight in weights.items():
@@ -440,9 +389,7 @@ def _scenario_kbs(
     return tuple(WeightedKnowledgeBase(vocabulary, weights) for weights in maps)
 
 
-def evaluate_weighted_chunk(
-    state: dict, task: WeightedChunkTask
-) -> WeightedChunkOutcome:
+def evaluate_weighted_chunk(state: dict, task: WeightedChunkTask) -> ChunkOutcome:
     """Evaluate one weighted chunk against the worker state.
 
     Module-level (and state-explicit) so tests can drive the exact worker
@@ -450,7 +397,7 @@ def evaluate_weighted_chunk(
     """
     vocabulary: Vocabulary = state["vocabulary"]
     operator: DenseWeightedOperator = state["operator"]
-    chunk_start = time.perf_counter()
+    started = time.perf_counter()
     before = _cache_snapshot(operator)
     plan = WeightedScenarioPlan(
         roles=task.roles,
@@ -495,65 +442,18 @@ def evaluate_weighted_chunk(
                 f"dense evaluator for {task.axiom.name} flagged a scenario "
                 f"the scalar checker accepts (operator {operator.name})"
             )
-    after = _cache_snapshot(operator)
-    elapsed = time.perf_counter() - chunk_start
-    registry = obs.active()
-    if registry is not None:
-        registry.counter("engine.weighted_chunks_completed").inc()
-        registry.counter("engine.weighted_scenarios").inc(task.chunk.count)
-        registry.histogram("engine.weighted_chunk_seconds").observe(elapsed)
-    return WeightedChunkOutcome(
-        unit=task.unit,
-        ordinal=task.chunk.ordinal,
-        start=task.chunk.start,
-        first_offset=first_offset,
-        counterexample=counterexample,
-        key_hits=after[0] - before[0],
-        key_misses=after[1] - before[1],
-        result_hits=after[2] - before[2],
-        result_misses=after[3] - before[3],
-        seconds=elapsed,
-    )
-
-
-def _run_chunk(task: WeightedChunkTask) -> WeightedChunkOutcome:
-    global _WORKER_SEQ
-    assert _WORKER_STATE is not None, "pool worker used before initialization"
-    # Injected faults fire only here — the worker entry point — never in
-    # the parent's serial re-evaluation, so degradation always terminates.
-    trip(_WORKER_FAULTS, task.unit, task.chunk.ordinal, task.attempt)
-    outcome = evaluate_weighted_chunk(_WORKER_STATE, task)
-    registry = obs.active()
-    if registry is None:
-        return outcome
-    _WORKER_SEQ += 1
-    return replace(
-        outcome, pid=os.getpid(), seq=_WORKER_SEQ, metrics=registry.snapshot()
+    return _chunk_outcome(
+        task,
+        operator,
+        "engine.weighted_",
+        started,
+        before,
+        first_offset,
+        counterexample,
     )
 
 
 # -- parent side --------------------------------------------------------------------
-
-
-@dataclass
-class _WeightedUnit:
-    """Parent-side bookkeeping for one weighted-axiom audit."""
-
-    axiom: WeightedAxiom
-    plan: WeightedScenarioPlan
-    best_index: Optional[int] = None
-    counterexample: Optional[WeightedCounterexample] = None
-
-    def absorb(self, outcome: WeightedChunkOutcome) -> bool:
-        """Merge a chunk outcome; True iff the best failure improved."""
-        if outcome.first_offset is None:
-            return False
-        index = outcome.start + outcome.first_offset
-        if self.best_index is None or index < self.best_index:
-            self.best_index = index
-            self.counterexample = outcome.counterexample
-            return True
-        return False
 
 
 def _plan_weighted_units(
@@ -564,7 +464,7 @@ def _plan_weighted_units(
     chunk_size: int,
     max_weight: int,
     density: float,
-) -> list[_WeightedUnit]:
+) -> list[_Unit]:
     """Plan every axiom audit in the legacy iteration order.
 
     An integer seed builds a fresh stream per axiom — matching the serial
@@ -572,7 +472,7 @@ def _plan_weighted_units(
     call seeds its own generator — and a shared ``Random`` instance is
     consumed sequentially in this same order.
     """
-    units: list[_WeightedUnit] = []
+    units: list[_Unit] = []
     for axiom in axioms:
         generator = random.Random(rng) if isinstance(rng, int) else rng
         plan = plan_weighted_scenarios(
@@ -584,8 +484,23 @@ def _plan_weighted_units(
             max_weight,
             density,
         )
-        units.append(_WeightedUnit(axiom, plan))
+        units.append(_Unit(axiom, plan))
     return units
+
+
+def _weighted_chunk_task(
+    unit_id: int, unit: _Unit, chunk: ChunkSpec
+) -> WeightedChunkTask:
+    return WeightedChunkTask(
+        unit=unit_id,
+        axiom=unit.axiom,
+        roles=unit.plan.roles,
+        interpretation_count=unit.plan.interpretation_count,
+        max_weight=unit.plan.max_weight,
+        density=unit.plan.density,
+        include_unsatisfiable=unit.plan.include_unsatisfiable,
+        chunk=chunk,
+    )
 
 
 def _serial_weighted_audit(
@@ -616,50 +531,20 @@ def _serial_weighted_audit(
         )
         outcome.stats.scenarios += scenarios
     outcome.stats.elapsed_seconds = time.perf_counter() - start
-    registry = obs.active()
-    if registry is not None:
-        registry.counter("engine.weighted_audits").inc()
-        registry.histogram("engine.weighted_audit_seconds").observe(
-            outcome.stats.elapsed_seconds
-        )
+    _record_run("engine.weighted_", outcome.stats)
     return outcome
 
 
-def _build_weighted_arena(
-    vocabulary: Vocabulary, operator: WeightedOperator, roster_blob: bytes
-) -> Optional[Arena]:
-    """Publish the float64 distance matrix workers would otherwise build.
-
-    Mirrors :class:`DenseWeightedOperator`'s own eligibility exactly
-    (``kind="wdist"`` contract, integer metric, vocabulary within
-    :data:`MAX_DENSE_ATOMS`), so the parent publishes a matrix precisely
-    when every worker would rebuild the identical one.  Matrices under
+def _publish_weighted_matrix(
+    arena: Arena, vocabulary: Vocabulary, operator: WeightedOperator
+) -> None:
+    """Publish the float64 distance matrix workers would otherwise build
+    (:func:`wdist_matrix`).  Matrices under
     :data:`~repro.engine.shm.MIN_SHARED_BYTES` stay local — segment
-    overhead would beat the rebuild they save.
-    """
-    if np is None or vocabulary.size > MAX_DENSE_ATOMS:
-        return None
-    assignment = getattr(operator, "assignment", None)
-    builder = getattr(assignment, "builder", None)
-    if getattr(builder, "kind", None) != "wdist":
-        return None
-    masks = range(vocabulary.interpretation_count)
-    matrix = np.asarray(
-        kernels.distance_matrix(masks, masks, vocabulary, builder.metric)
-    )
-    if matrix.dtype.kind not in "iu":
-        return None
-    dense = matrix.astype(np.float64)
-    if dense.nbytes < MIN_SHARED_BYTES:
-        return None
-    arena = Arena()
-    try:
-        arena.publish_array("wmatrix", dense)
-        arena.publish_bytes("roster", roster_blob)
-        return arena
-    except Exception:
-        arena.close()
-        raise
+    overhead would beat the rebuild they save."""
+    matrix = wdist_matrix(operator, vocabulary)
+    if matrix is not None and matrix.nbytes >= MIN_SHARED_BYTES:
+        arena.publish_array("wmatrix", matrix)
 
 
 def run_weighted_audit(
@@ -683,241 +568,40 @@ def run_weighted_audit(
     to calling ``check_weighted_axiom`` per axiom).
 
     ``chunk_timeout`` / ``max_retries`` / ``faults`` configure the
-    resilience layer, and ``shm`` the zero-copy arena path (``None`` =
-    auto, ``REPRO_SHM`` overrides), exactly as in
-    :func:`repro.engine.pool.run_audit`.
+    resilience layer, and ``shm`` the zero-copy arena path, exactly as in
+    :func:`repro.engine.pool.run_audit`.  Weighted sweeps have no chunk
+    journal.
     """
     if vocabulary is None:
         raise ValueError("run_weighted_audit requires a vocabulary")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _ensure_unique([axiom.name for axiom in axioms], "axiom")
-    if jobs == 1:
-        return _serial_weighted_audit(
-            operator, axioms, vocabulary, scenarios, rng, max_weight, density
-        )
-    if faults is None:
-        faults = FaultPlan.from_env()
-    # Pickle before planning: the serial fallback must see the caller's
-    # RNG untouched (planning fast-forwards a shared stream).  One
-    # serialization per run — the bytes are reused verbatim by every pool
-    # (re)spawn, never re-pickled.
-    try:
-        roster_blob = pickle.dumps((vocabulary, operator))
-    except Exception as error:  # pickling contract violated by a custom operator
-        warnings.warn(
-            f"weighted audit engine: operator does not pickle ({error}); "
-            "falling back to the serial loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return _serial_weighted_audit(
-            operator, axioms, vocabulary, scenarios, rng, max_weight, density
-        )
-    units = _plan_weighted_units(
-        axioms, vocabulary, scenarios, rng, chunk_size, max_weight, density
-    )
-
-    env_shm = os.environ.get("REPRO_SHM", "").strip()
-    if env_shm in {"0", "1"}:
-        shm = env_shm == "1"
-    if shm is None:
-        use_shm = shm_available()
-    elif shm and not shm_available():
-        warnings.warn(
-            "weighted audit engine: shared-memory arenas unavailable (numpy "
-            "or multiprocessing.shared_memory missing); workers will rebuild "
-            "their state",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        use_shm = False
-    else:
-        use_shm = shm
-    arena: Optional[Arena] = None
-    if use_shm:
-        arena = _build_weighted_arena(vocabulary, operator, roster_blob)
-    directory = arena.directory() if arena is not None else None
-    payload = pickle.dumps(
-        (obs.enabled(), faults, directory, None if arena is not None else roster_blob)
-    )
-
     outcome = WeightedAuditOutcome()
-    stats = outcome.stats
-    if arena is not None:
-        stats.shm_segments = arena.segment_count
-        stats.shm_bytes = arena.bytes_published
-    run_start = time.perf_counter()
-    worker_metrics: dict[int, tuple[int, dict]] = {}
-    context = None
-    try:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-    except ImportError:  # pragma: no cover
-        pass
-
-    def make_executor() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=jobs,
-            initializer=_init_worker,
-            initargs=(payload,),
-            mp_context=context,
-        )
-
-    def handle_outcome(
-        task: WeightedChunkTask, chunk_outcome: WeightedChunkOutcome
-    ) -> bool:
-        unit = units[chunk_outcome.unit]
-        stats.chunks += 1
-        stats.scenarios += task.chunk.count
-        stats.key_hits += chunk_outcome.key_hits
-        stats.key_misses += chunk_outcome.key_misses
-        stats.result_hits += chunk_outcome.result_hits
-        stats.result_misses += chunk_outcome.result_misses
-        stats.chunk_seconds += chunk_outcome.seconds
-        if chunk_outcome.metrics is not None:
-            stored = worker_metrics.get(chunk_outcome.pid)
-            if stored is None or chunk_outcome.seq > stored[0]:
-                worker_metrics[chunk_outcome.pid] = (
-                    chunk_outcome.seq,
-                    chunk_outcome.metrics,
-                )
-        return unit.absorb(chunk_outcome)
-
-    def may_skip(task: WeightedChunkTask) -> bool:
-        # Only chunks starting after the best failure can be skipped: an
-        # earlier chunk may still hold the globally first counterexample.
-        unit = units[task.unit]
-        return (
-            stop_at_first
-            and unit.best_index is not None
-            and task.chunk.start > unit.best_index
-        )
-
-    parent_state: dict = {}
-
-    def serial_eval(task: WeightedChunkTask) -> WeightedChunkOutcome:
-        # Last-resort degradation: the parent evaluates the chunk with
-        # the exact worker code path (fault injection never fires here).
-        if not parent_state:
-            parent_state.update(
-                _build_worker_state(
-                    vocabulary,
-                    operator,
-                    None if arena is None else arena.view(),
-                )
-            )
-        return evaluate_weighted_chunk(parent_state, task)
-
-    def on_restart() -> None:
-        # Respawned workers re-attach the same arena names; a vanished
-        # segment would mean silent rebuild storms, so surface it.
-        if arena is None:
-            return
-        missing = arena.verify()
-        if missing:
-            warnings.warn(
-                f"weighted audit engine: {len(missing)} arena segment(s) "
-                "vanished across a pool restart; respawned workers will "
-                "rebuild locally",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    tasks = [
-        WeightedChunkTask(
-            unit=unit_id,
-            axiom=unit.axiom,
-            roles=unit.plan.roles,
-            interpretation_count=unit.plan.interpretation_count,
-            max_weight=unit.plan.max_weight,
-            density=unit.plan.density,
-            include_unsatisfiable=unit.plan.include_unsatisfiable,
-            chunk=chunk,
-        )
-        for unit_id, unit in enumerate(units)
-        for chunk in unit.plan.chunks
-    ]
-    config = ResilienceConfig(chunk_timeout=chunk_timeout, max_retries=max_retries)
-    try:
-        with obs.span("engine.run_weighted_audit", jobs=jobs, units=len(units)):
-            outcome.failures = run_resilient(
-                tasks,
-                _run_chunk,
-                make_executor,
-                handle_outcome,
-                may_skip,
-                serial_eval,
-                config,
-                metric_prefix="engine.weighted_",
-                on_restart=on_restart,
-            )
-    finally:
-        # The sole unlink point: workers never own the names, so closing
-        # here on every exit path keeps /dev/shm clean.
-        if arena is not None:
-            arena.close()
-    stats.retries = outcome.failures.retries
-    stats.worker_crashes = outcome.failures.worker_crashes
-    stats.pool_restarts = outcome.failures.pool_restarts
-    stats.chunks_degraded = outcome.failures.chunks_degraded
-    stats.elapsed_seconds = time.perf_counter() - run_start
-    registry = obs.active()
-    if registry is not None:
-        for _, snapshot in worker_metrics.values():
-            registry.merge_snapshot(snapshot)
-        registry.counter("engine.weighted_audits").inc()
-        registry.gauge("engine.shm_segments").set(stats.shm_segments)
-        if arena is not None:
-            # Ensure the worker-side arena counters exist in the payload
-            # even when every attach succeeded with nothing to count.
-            registry.counter("engine.shm_bytes_mapped")
-            registry.counter("engine.shm_attach_failures")
-        registry.histogram("engine.weighted_audit_seconds").observe(
-            stats.elapsed_seconds
-        )
-        if stats.elapsed_seconds > 0:
-            registry.gauge("engine.weighted_scenarios_per_second").set(
-                stats.scenarios / stats.elapsed_seconds
-            )
-    for unit in units:
-        outcome.results[unit.axiom.name] = unit.counterexample
-    return outcome
-
-
-def check_weighted_axiom_parallel(
-    operator: WeightedOperator,
-    axiom: WeightedAxiom,
-    vocabulary: Vocabulary,
-    scenarios: int = 500,
-    rng: int | random.Random = 0,
-    jobs: int = 2,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    max_weight: int = 5,
-    density: float = 0.5,
-    chunk_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
-    faults: Optional[FaultPlan] = None,
-    shm: Optional[bool] = None,
-) -> Optional[WeightedCounterexample]:
-    """Parallel counterpart of
-    :func:`repro.postulates.weighted_axioms.check_weighted_axiom` for a
-    single axiom."""
-    outcome = run_weighted_audit(
-        operator,
-        [axiom],
-        vocabulary,
-        scenarios=scenarios,
-        rng=rng,
+    units = _run_sweep(
+        outcome,
+        kind="weighted_",
+        roster=(vocabulary, operator),
+        plan=lambda: _plan_weighted_units(
+            axioms, vocabulary, scenarios, rng, chunk_size, max_weight, density
+        ),
+        make_task=_weighted_chunk_task,
+        build_state=_build_worker_state,
+        evaluate=evaluate_weighted_chunk,
+        publish=lambda arena, units: _publish_weighted_matrix(
+            arena, vocabulary, operator
+        ),
         jobs=jobs,
-        chunk_size=chunk_size,
-        max_weight=max_weight,
-        density=density,
+        stop_at_first=stop_at_first,
         chunk_timeout=chunk_timeout,
         max_retries=max_retries,
         faults=faults,
         shm=shm,
     )
-    return outcome.results[axiom.name]
+    if units is None:
+        return _serial_weighted_audit(
+            operator, axioms, vocabulary, scenarios, rng, max_weight, density
+        )
+    for unit in units:
+        outcome.results[unit.axiom.name] = unit.counterexample
+    return outcome

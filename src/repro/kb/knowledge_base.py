@@ -18,12 +18,12 @@ from typing import Optional, Sequence, Union
 
 from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import ModelFittingOperator, ReveszFitting
-from repro.errors import VocabularyError
+from repro.errors import ReproError, VocabularyError
 from repro.logic.enumeration import form_formula, models
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import parse
 from repro.logic.semantics import ModelSet
-from repro.logic.syntax import Formula
+from repro.logic.syntax import Formula, disjoin
 from repro.operators.base import TheoryChangeOperator
 from repro.operators.revision import DalalRevision
 from repro.operators.update import WinslettUpdate
@@ -176,18 +176,14 @@ class KnowledgeBase:
 
     # -- theory change -----------------------------------------------------------
 
-    def _changed(
-        self, operation: str, operator: TheoryChangeOperator, incoming: Formula
+    def _record(
+        self, operation: str, operator: str, incoming: Formula, after: ModelSet
     ) -> "KnowledgeBase":
-        incoming_models = models(incoming, self._vocabulary)
-        if not self._constraint_models.is_universe and operation != "arbitrate":
-            # Integrity constraints restrict what the incoming information
-            # may establish: change by μ ∧ IC (the GMR92-style reading).
-            incoming_models = incoming_models.intersection(self._constraint_models)
-        after = operator.apply_models(self._models, incoming_models)
+        """The successor holding ``after``, one provenance record longer;
+        operators and integrity constraints carry forward."""
         record = ChangeRecord(
             operation=operation,
-            operator=operator.name,
+            operator=operator,
             incoming=incoming,
             before=self._models,
             after=after,
@@ -201,6 +197,17 @@ class KnowledgeBase:
             _models=after,
             _history=self._history + (record,),
         )
+
+    def _changed(
+        self, operation: str, operator: TheoryChangeOperator, incoming: Formula
+    ) -> "KnowledgeBase":
+        incoming_models = models(incoming, self._vocabulary)
+        if not self._constraint_models.is_universe and operation != "arbitrate":
+            # Integrity constraints restrict what the incoming information
+            # may establish: change by μ ∧ IC (the GMR92-style reading).
+            incoming_models = incoming_models.intersection(self._constraint_models)
+        after = operator.apply_models(self._models, incoming_models)
+        return self._record(operation, operator.name, incoming, after)
 
     def revise(self, new_information: FormulaLike) -> "KnowledgeBase":
         """AGM/KM revision: the new information is more reliable."""
@@ -229,22 +236,34 @@ class KnowledgeBase:
         incoming = _as_formula(new_information)
         union = self._models.union(models(incoming, self._vocabulary))
         after = self._fitting.apply_models(union, self._constraint_models)
-        record = ChangeRecord(
-            operation="arbitrate",
-            operator=f"constrained-{self._fitting.name}",
-            incoming=incoming,
-            before=self._models,
-            after=after,
+        return self._record(
+            "arbitrate", f"constrained-{self._fitting.name}", incoming, after
         )
-        return KnowledgeBase(
-            form_formula(after),
-            revision=self._revision,
-            update=self._update,
-            fitting=self._fitting,
-            constraints=self._constraints,
-            _models=after,
-            _history=self._history + (record,),
+
+    def merge(self, sources: Sequence[FormulaLike]) -> "KnowledgeBase":
+        """N-ary consensus: the current theory is one voice among the
+        sources, ``(ψ ∨ φ₁ ∨ … ∨ φₖ) ▷ ⊤``, recorded as one ``merge`` step
+        in the provenance log.
+
+        Under integrity constraints the consensus is sought among the
+        worlds they allow, ``(ψ ∨ φ₁ ∨ … ∨ φₖ) ▷ IC``, as in
+        :meth:`arbitrate`.
+        """
+        if not sources:
+            raise ReproError("merge requires at least one source")
+        parsed = [_as_formula(source) for source in sources]
+        union = self._models
+        for formula in parsed:
+            union = union.union(models(formula, self._vocabulary))
+        # Unconstrained, Mod(IC) is the universe and this is exactly
+        # ArbitrationOperator(fitting).merge_models([ψ, φ₁, …, φₖ]).
+        after = self._fitting.apply_models(union, self._constraint_models)
+        operator = (
+            ArbitrationOperator(self._fitting).name
+            if self._constraint_models.is_universe
+            else f"constrained-{self._fitting.name}"
         )
+        return self._record("merge", operator, disjoin(parsed), after)
 
     def contract(self, retracted: FormulaLike) -> "KnowledgeBase":
         """Stop believing ``retracted`` (Harper-identity contraction over

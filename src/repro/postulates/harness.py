@@ -124,7 +124,7 @@ def check_axiom(
     full space) but still reports the earliest failure.
 
     ``jobs > 1`` routes through the parallel audit engine
-    (:func:`repro.engine.pool.check_axiom_parallel`), whose merge is
+    (:func:`repro.engine.pool.run_audit`), whose merge is
     deterministic and result-identical to this serial loop;
     ``chunk_timeout`` / ``max_retries`` configure its resilience ladder
     (ignored on the serial path).
@@ -153,11 +153,11 @@ def check_axiom(
             stop_at_first=stop_at_first,
         )
     if jobs > 1:
-        from repro.engine.pool import check_axiom_parallel
+        from repro.engine.pool import run_audit
 
-        return check_axiom_parallel(
-            operator,
-            axiom,
+        outcome = run_audit(
+            [operator],
+            [axiom],
             vocabulary,
             max_scenarios=max_scenarios,
             rng=rng,
@@ -166,6 +166,7 @@ def check_axiom(
             chunk_timeout=chunk_timeout,
             max_retries=max_retries,
         )
+        return outcome.results[operator.name][axiom.name]
     roles = len(axiom.roles)
     space = (1 << vocabulary.interpretation_count) ** roles
     truncated = False

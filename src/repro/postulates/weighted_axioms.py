@@ -251,17 +251,17 @@ def check_weighted_axiom(
     """Sampled check of one weighted axiom; first counterexample or None.
 
     ``jobs > 1`` routes through the weighted audit engine
-    (:func:`repro.engine.weighted.check_weighted_axiom_parallel`), whose
+    (:func:`repro.engine.weighted.run_weighted_audit`), whose
     min-global-index merge reports the same first counterexample as this
     serial loop over the identical sampled stream; ``chunk_timeout`` /
     ``max_retries`` configure its resilience ladder (ignored serially).
     """
     if jobs > 1:
-        from repro.engine.weighted import check_weighted_axiom_parallel
+        from repro.engine.weighted import run_weighted_audit
 
-        return check_weighted_axiom_parallel(
+        outcome = run_weighted_audit(
             operator,
-            axiom,
+            [axiom],
             vocabulary,
             scenarios=scenarios,
             rng=rng,
@@ -271,6 +271,7 @@ def check_weighted_axiom(
             chunk_timeout=chunk_timeout,
             max_retries=max_retries,
         )
+        return outcome.results[axiom.name]
     generator = rng if isinstance(rng, random.Random) else random.Random(rng)
     roles = len(axiom.roles)
     pool = list(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import PriorityFitting, ReveszFitting
 from repro.core.weighted import (
     WeightedArbitration,
@@ -29,8 +28,8 @@ from repro.core.weighted import (
     WeightedModelFitting,
 )
 from repro.errors import ReproError
-from repro.kb.knowledge_base import ChangeRecord, KnowledgeBase
-from repro.logic.enumeration import form_formula, models
+from repro.kb.knowledge_base import KnowledgeBase
+from repro.logic.enumeration import models
 from repro.logic.parser import parse
 from repro.logic.syntax import Formula
 from repro.operators.base import TheoryChangeOperator
@@ -257,35 +256,7 @@ class Session:
         return self._kb
 
     def merge(self, sources: Sequence[FormulaLike]) -> KnowledgeBase:
-        """N-ary consensus: the current theory is one voice among the
-        sources (``(ψ ∨ φ₁ ∨ … ∨ φₖ) ▷ ⊤``), recorded as one ``merge``
-        step in the provenance log."""
-        if not sources:
-            raise ReproError("merge requires at least one source")
-        operator = ArbitrationOperator(self._fitting)
-        parsed = [_as_formula(source) for source in sources]
-        model_sets = [self._kb.model_set] + [
-            models(formula, self.vocabulary) for formula in parsed
-        ]
-        after = operator.merge_models(model_sets)
-        from repro.logic.syntax import disjoin
-
-        incoming = disjoin(parsed)
-        record = ChangeRecord(
-            operation="merge",
-            operator=operator.name,
-            incoming=incoming,
-            before=self._kb.model_set,
-            after=after,
-        )
-        self._kb = KnowledgeBase(
-            form_formula(after),
-            revision=self._revision,
-            update=self._update,
-            fitting=self._fitting,
-            _models=after,
-            _history=self._kb.history + (record,),
-        )
+        self._kb = self._kb.merge(sources)
         return self._kb
 
     def ask(self, query: FormulaLike) -> str:

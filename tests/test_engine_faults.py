@@ -11,13 +11,17 @@ respawn, and parent-side serial degradation — through the deterministic
 :class:`~repro.engine.faults.FaultPlan` hook.
 """
 
+import dataclasses
 import random
 import signal
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.fitting import ReveszFitting
 from repro.core.weighted import WeightedModelFitting
+from repro.engine.chunks import ChunkSpec
 from repro.engine.faults import (
     DEFAULT_HANG_SECONDS,
     FaultPlan,
@@ -26,6 +30,7 @@ from repro.engine.faults import (
     trip,
 )
 from repro.engine.pool import run_audit
+from repro.engine.resilience import ResilienceConfig, run_resilient
 from repro.engine.weighted import run_weighted_audit
 from repro.logic.interpretation import Vocabulary
 from repro.operators.revision import DalalRevision
@@ -262,6 +267,65 @@ class TestFaultRecovery:
         )
         assert_results_identical(quiet, baseline_parallel)
         assert_results_identical(noisy, baseline_parallel)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Task:
+    unit: int
+    chunk: ChunkSpec
+    attempt: int = 0
+
+
+class _InlinePool:
+    """An executor that runs each task at submission.  After ``accepted``
+    tasks (``None``: never) every ``submit`` raises, as the ``submit`` of
+    a process pool whose worker just died does."""
+
+    def __init__(self, accepted=None):
+        self._accepted = accepted
+
+    def submit(self, fn, task):
+        if self._accepted == 0:
+            raise BrokenProcessPool("a worker died during submission")
+        if self._accepted is not None:
+            self._accepted -= 1
+        future = Future()
+        future.set_result(fn(task))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenDuringSubmission:
+    def test_submit_into_broken_pool_is_a_recovered_crash(self):
+        """A worker killed while the parent is still submitting the first
+        tasks makes ``submit`` itself raise; the ladder must respawn the
+        pool and run every task instead of letting the error escape."""
+        executors = iter([_InlinePool(accepted=2), _InlinePool()])
+        tasks = [_Task(0, ChunkSpec(ordinal=i, start=i, count=1)) for i in range(5)]
+        handled = []
+
+        def handle_outcome(task, outcome):
+            handled.append(outcome)
+            return False
+
+        def serial_eval(task):
+            raise AssertionError("no chunk should degrade")
+
+        report = run_resilient(
+            tasks,
+            lambda task: task.chunk.ordinal,
+            lambda: next(executors),
+            handle_outcome,
+            lambda task: False,
+            serial_eval,
+            ResilienceConfig(),
+        )
+        assert sorted(handled) == list(range(5))
+        assert report.worker_crashes == 1
+        assert report.pool_restarts == 1
+        assert report.chunks_degraded == 0
 
 
 class TestWeightedFaultRecovery:

@@ -234,6 +234,30 @@ class TestSession:
         with pytest.raises(ReproError, match="at least one source"):
             Session("s", atoms=["a"]).merge([])
 
+    def test_restored_constrained_session_keeps_ic_through_merge(self):
+        """A snapshot-restored KB with integrity constraints must keep them
+        across merge: the consensus is fitted onto Mod(IC), and the next
+        change is still confined to it."""
+        from repro.core.fitting import ReveszFitting
+        from repro.kb.serialize import knowledge_base_to_dict
+
+        constrained = KnowledgeBase("a & b", atoms=["a", "b", "c"], constraints="!c")
+        session = Session.from_payload(
+            {"id": "s", "kb": knowledge_base_to_dict(constrained)}
+        )
+        before = session.kb.model_set
+        session.merge(["c", "!a & c"])
+        ic = models(parse("!c"), VOC3)
+        union = before.union(models(parse("c"), VOC3)).union(
+            models(parse("!a & c"), VOC3)
+        )
+        assert session.kb.constraints == parse("!c")
+        assert session.kb.model_set == ReveszFitting().apply_models(union, ic)
+        assert session.kb.model_set.issubset(ic)
+        assert session.kb.history[-1].operation == "merge"
+        session.revise("c")
+        assert session.kb.model_set.issubset(ic)
+
     def test_sessions_share_registry_contexts(self):
         registry = ContextRegistry()
         Session("s1", atoms=["a", "b"], registry=registry).revise("a")

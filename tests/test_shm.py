@@ -250,53 +250,62 @@ class TestAuditParity:
         assert without_shm.stats.shm_segments == 0
 
 
-class TestNoLeaksUnderFaults:
-    """The arena's sole-owner unlink must hold on every resilience rung."""
+VOCAB7 = Vocabulary([chr(ord("a") + i) for i in range(7)])
 
-    def test_no_leak_when_chunks_raise(self):
-        clean = run_audit(OPERATORS, AXIOMS, VOCAB3, jobs=2, shm=True, **AUDIT)
-        faulty = run_audit(
-            OPERATORS,
-            AXIOMS,
-            VOCAB3,
-            jobs=2,
-            shm=True,
-            faults=FaultPlan.parse("raise:*x1"),
-            **AUDIT,
-        )
-        assert_results_identical(faulty, clean)
+
+def boolean_audit(**kwargs):
+    return run_audit(OPERATORS, AXIOMS, VOCAB3, jobs=2, shm=True, **AUDIT, **kwargs)
+
+
+def weighted_audit(**kwargs):
+    # At 7 atoms the 128x128 float64 matrix (128 KiB) clears
+    # MIN_SHARED_BYTES, so the arena is really published; fitting holds
+    # F1-F8, so no chunk is pruned before a fault aimed at it fires.
+    return run_weighted_audit(
+        WeightedModelFitting(),
+        vocabulary=VOCAB7,
+        scenarios=40,
+        rng=3,
+        chunk_size=8,
+        jobs=2,
+        shm=True,
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "audit", [boolean_audit, weighted_audit], ids=["boolean", "weighted"]
+)
+class TestNoLeaksUnderFaults:
+    """The arena's sole-owner unlink must hold on every resilience rung,
+    for both engines: the shared sweep runner closes the arena on every
+    exit."""
+
+    def test_no_leak_when_chunks_raise(self, audit):
+        clean = audit()
+        faulty = audit(faults=FaultPlan.parse("raise:*x1"))
+        assert faulty.results == clean.results
+        assert faulty.stats.shm_segments > 0
         assert faulty.failures.retries >= 1
 
-    def test_no_leak_when_worker_killed(self):
-        clean = run_audit(OPERATORS, AXIOMS, VOCAB3, jobs=2, shm=True, **AUDIT)
-        faulty = run_audit(
-            OPERATORS,
-            AXIOMS,
-            VOCAB3,
-            jobs=2,
-            shm=True,
-            faults=FaultPlan.parse("kill:0.0x1"),
-            **AUDIT,
-        )
-        assert_results_identical(faulty, clean)
+    def test_no_leak_when_worker_killed(self, audit):
+        clean = audit()
+        faulty = audit(faults=FaultPlan.parse("kill:0.0x1"))
+        assert faulty.results == clean.results
+        assert faulty.stats.shm_segments > 0
         assert faulty.failures.pool_restarts >= 1
 
-    def test_no_leak_when_hung_chunk_reaped(self):
-        clean = run_audit(OPERATORS, AXIOMS, VOCAB3, jobs=2, shm=True, **AUDIT)
-        faulty = run_audit(
-            OPERATORS,
-            AXIOMS,
-            VOCAB3,
-            jobs=2,
-            shm=True,
+    def test_no_leak_when_hung_chunk_reaped(self, audit):
+        clean = audit()
+        faulty = audit(
             chunk_timeout=0.75,
             faults=FaultPlan(
                 (FaultSpec("hang", unit=0, ordinal=1, times=1),),
                 hang_seconds=30.0,
             ),
-            **AUDIT,
         )
-        assert_results_identical(faulty, clean)
+        assert faulty.results == clean.results
+        assert faulty.stats.shm_segments > 0
         assert faulty.failures.pool_restarts >= 1
 
 

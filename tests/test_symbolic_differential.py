@@ -17,7 +17,7 @@ from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import ReveszFitting
 from repro.distances.kernels import minimal_subset_masks, pairwise_diffs
 from repro.errors import ReproError
-from repro.logic.bdd import FALSE, manager_for
+from repro.logic.bdd import FALSE, clear_managers, manager_for
 from repro.logic.interpretation import Vocabulary, iter_set_bits
 from repro.logic.semantics import ModelSet
 from repro.operators.base import TheoryChangeOperator
@@ -329,6 +329,33 @@ class TestCheckAxiomParity:
             impl="symbolic",
         )
         assert matrix_checksum(dense) == matrix_checksum(symbolic)
+
+    def test_matrix_checksum_of_symbolic_counterexamples_at_17_atoms(self):
+        """Above 16 atoms counterexamples stay BDD-backed: the checksum
+        must encode them without dense bit-vectors, and identically for
+        a rerun on a fresh BDD manager."""
+        from repro.bench.audit_speedup import matrix_checksum
+
+        names = ("dalal", "satoh", "weber", "revesz-odist")
+        operators = [op for op in SYMBOLIC_OPERATORS if op.name in names]
+        assert len(operators) == len(names)
+        vocabulary = _vocab(17)
+
+        def sweep():
+            clear_managers()
+            return compute_matrix(
+                operators, vocabulary, max_scenarios=10, rng=0, impl="symbolic"
+            )
+
+        first = sweep()
+        failing = [
+            result
+            for row in first.results.values()
+            for result in row.values()
+            if not result.holds
+        ]
+        assert len(failing) == 6
+        assert matrix_checksum(first) == matrix_checksum(sweep())
 
     def test_parallel_dense_baseline_still_matches(self):
         """jobs=2 dense stays result-identical to serial dense (and hence
