@@ -2,11 +2,11 @@
 
 One measurement spins up an :class:`~repro.serve.server.ArbitrationServer`
 on a loopback port, opens ``clients`` concurrent connections — every
-client its own session over the *same* vocabulary, so the micro-batcher
-can coalesce their queries onto one shared execution context — and
-drives a seeded :mod:`~repro.logic.random_formulas` change stream
-(revise / update / arbitrate / fit, with an ``ask`` probe every few
-steps).  Recorded per row:
+client its own session over the *same* vocabulary, so queries that
+queue up while the worker is busy leave as one batch on one shared
+execution context — and drives a seeded
+:mod:`~repro.logic.random_formulas` change stream (revise / update /
+arbitrate / fit, with an ``ask`` probe every few steps).  Recorded per row:
 
 * throughput (``qps``) and client-observed latency (``p50_ms`` /
   ``p99_ms``);
@@ -137,14 +137,11 @@ def measure_serve_load(
     clients: int,
     queries_per_client: int,
     seed: int = 0,
-    batch_window: float = 0.002,
 ) -> dict:
     """One load row: ``clients`` concurrent sessions over ``atoms`` atoms."""
 
     async def _drive() -> dict:
-        server = ArbitrationServer(
-            ServeConfig(port=0, batch_window=batch_window)
-        )
+        server = ArbitrationServer(ServeConfig(port=0))
         await server.start()
         try:
             started = time.perf_counter()

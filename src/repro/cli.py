@@ -456,7 +456,6 @@ def _cmd_serve(args, out) -> int:
         port=args.port,
         store_dir=args.store,
         queue_limit=args.queue_limit,
-        batch_window=args.batch_window_ms / 1000.0,
         batch_max=args.batch_max,
     )
     return run_server(config, out=out, metrics_out=args.metrics_out)
@@ -730,17 +729,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: %(default)s)",
     )
     serve_parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window: how long to coalesce concurrent "
-        "queries onto shared engine contexts (default: %(default)s)",
-    )
-    serve_parser.add_argument(
         "--batch-max",
         type=int,
         default=32,
-        help="hard cap on jobs per batch (default: %(default)s)",
+        help="hard cap on jobs per batch: jobs queued while the worker "
+        "is busy leave together, grouped onto shared engine contexts "
+        "(default: %(default)s)",
     )
     serve_parser.add_argument(
         "--metrics-out",

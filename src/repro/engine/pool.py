@@ -66,6 +66,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -242,9 +243,31 @@ class _Worker:
 
 _WORKER: Optional[_Worker] = None
 
+#: How often a pool worker checks that the process that started it lives.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent() -> None:
+    """Exit this worker once its parent dies.
+
+    A SIGKILLed parent never shuts its pool down, and its workers would
+    otherwise wait on the call queue forever, reparented to init.  A
+    daemon thread polls the parent pid and exits the process when it
+    changes.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
 
 def _init_worker(payload: bytes) -> None:
     global _WORKER
+    _exit_with_parent()
     obs_enabled, faults, directory, roster_blob, build_state, evaluate = (
         pickle.loads(payload)
     )

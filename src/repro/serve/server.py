@@ -7,14 +7,16 @@ Architecture (``docs/serving.md`` has the full picture):
   ``429`` instead of letting latency collapse for everyone
   (``serve.shed`` counts the victims).  ``/healthz`` and ``/metrics``
   bypass the queue so the server stays observable under overload.
-* **Cross-request micro-batching** — a single batcher task drains the
-  queue with a short deadline window (``batch_window`` seconds, at most
-  ``batch_max`` jobs), groups the jobs by coalescing key — the session
-  vocabulary, so queries against the same vocabulary land on the one
-  shared :class:`~repro.session.registry.ExecutionContext` back to back
-  with its distance matrix and caches hot — and executes the whole batch
-  on a single worker thread.  One worker means session state needs no
-  locks: the event loop only parses, frames, and awaits futures.
+* **Work-conserving micro-batching** — a single batcher task hands
+  each job to the worker as soon as it is free, together with whatever
+  queued up behind it (at most ``batch_max`` jobs), so batches form only
+  under load and a lone request never waits.  A batch is grouped by
+  coalescing key — the session vocabulary, so queries against the same
+  vocabulary land on the one shared
+  :class:`~repro.session.registry.ExecutionContext` back to back with
+  its distance matrix and caches hot — and runs on a single worker
+  thread.  One worker means session state needs no locks: the event loop
+  only parses, frames, and awaits futures.
 * **Persistence** — with a store configured, every mutating query
   snapshots its session atomically; an unknown id is loaded from the
   store on first touch, so a restarted server resumes exactly where the
@@ -85,10 +87,8 @@ class ServeConfig:
     store_dir: Optional[str] = None
     #: Admission bound: jobs queued beyond this are shed with 429.
     queue_limit: int = 256
-    #: Micro-batching window in seconds: how long the batcher waits for
-    #: more jobs to coalesce after the first arrives.
-    batch_window: float = 0.002
-    #: Hard cap on jobs per batch.
+    #: Hard cap on jobs per batch.  Batches take only jobs already
+    #: queued when the worker frees up; there is no wait for more.
     batch_max: int = 32
     #: Default ``impl`` for sessions that do not choose one.
     impl: str = AUTO
@@ -321,25 +321,24 @@ class ArbitrationServer:
         return key
 
     async def _batcher(self) -> None:
-        """Drain the queue into deadline-windowed, vocabulary-grouped batches."""
+        """Hand queued jobs to the worker in vocabulary-grouped batches.
+
+        Work-conserving: once the first job is in hand, the batch takes
+        only the jobs already queued behind it and leaves at once.  Jobs
+        run one at a time on the single worker, so waiting for more
+        could only leave that worker idle; batches form from the jobs
+        that arrived while the previous batch ran.
+        """
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
             if job is None:
                 return
             batch = [job]
             try:
-                deadline = loop.time() + self.config.batch_window
                 drained = False
-                while len(batch) < self.config.batch_max:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
+                while len(batch) < self.config.batch_max and not self._queue.empty():
+                    item = self._queue.get_nowait()
                     if item is None:
                         drained = True
                         break
@@ -406,15 +405,19 @@ class ArbitrationServer:
         self, jobs: list[_Job], group_count: int
     ) -> list[tuple[int, dict[str, Any]]]:
         results = []
+        registry = obs.active()
         with obs.span("serve.batch", size=len(jobs), groups=group_count):
             for job in jobs:
+                if registry is not None:
+                    registry.histogram("serve.queue_wait_seconds").observe(
+                        time.perf_counter() - job.enqueued_at
+                    )
                 try:
                     with obs.span("serve.job", kind=job.kind):
                         results.append(self._process_job(job))
                 except ReproError as error:
                     results.append((400, {"ok": False, "error": str(error)}))
                 except Exception as error:  # keep the worker alive
-                    registry = obs.active()
                     if registry is not None:
                         registry.counter("serve.errors").inc()
                     results.append(

@@ -171,6 +171,9 @@ class TestServeMetrics:
             "serve.sessions_created",
         } <= names
         assert "serve.queue_depth" in final["gauges"]
-        assert "serve.request_seconds" in final["histograms"]
+        assert {
+            "serve.request_seconds",
+            "serve.queue_wait_seconds",
+        } <= set(final["histograms"])
         # the /metrics endpoint serves the same (schema-valid) shape
         validate(over_http)

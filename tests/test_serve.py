@@ -16,6 +16,7 @@ import sys
 import threading
 import time
 from contextlib import asynccontextmanager
+from pathlib import Path
 
 import pytest
 
@@ -345,42 +346,95 @@ class TestSessionEndpoints:
 
 class TestBatchingAndAdmission:
     def test_concurrent_queries_coalesce_into_batches(self):
+        queued = 8
+
         async def main():
-            config = ServeConfig(port=0, batch_window=0.2, batch_max=32)
             with obs.use() as registry:
-                async with serve(config) as (server, client):
+                async with serve() as (server, client):
                     for index in range(4):
                         await client.request(
                             "POST",
                             "/v1/sessions",
                             {"id": f"c{index}", "atoms": ["a", "b"]},
                         )
+                    release = threading.Event()
+                    # Hold the single worker: every batch the batcher
+                    # hands over now waits behind this call.
+                    blocker = server._executor.submit(release.wait, 10)
+                    extras = [
+                        ServeClient(server.host, server.port)
+                        for _ in range(queued + 1)
+                    ]
 
-                    async def one_query(index: int):
-                        extra = ServeClient(server.host, server.port)
-                        try:
-                            return await extra.request(
-                                "POST",
-                                f"/v1/sessions/c{index % 4}/query",
-                                {"op": "revise", "formula": "a" if index % 2 else "!a"},
-                            )
-                        finally:
-                            await extra.close()
+                    def query(index: int):
+                        return extras[index].request(
+                            "POST",
+                            f"/v1/sessions/c{index % 4}/query",
+                            {"op": "revise", "formula": "a" if index % 2 else "!a"},
+                        )
 
-                    outcomes = await asyncio.gather(
-                        *(one_query(index) for index in range(8))
-                    )
+                    async def until(condition):
+                        deadline = time.monotonic() + 10
+                        while not condition():
+                            assert time.monotonic() < deadline, "timed out"
+                            await asyncio.sleep(0.005)
+
+                    try:
+                        # The head query leaves alone and waits on the
+                        # held worker; the rest pile up in the queue.
+                        head = asyncio.ensure_future(query(queued))
+                        await until(
+                            lambda: registry.counter("serve.batches").value == 5
+                        )
+                        behind = [
+                            asyncio.ensure_future(query(index))
+                            for index in range(queued)
+                        ]
+                        await until(lambda: server._queue.qsize() == queued)
+                    finally:
+                        release.set()
+                    outcomes = await asyncio.gather(head, *behind)
+                    blocker.result(timeout=10)
+                    for extra in extras:
+                        await extra.close()
                 snapshot = registry.snapshot()
             return outcomes, snapshot
 
         outcomes, snapshot = run(main())
         assert all(status == 200 for status, _ in outcomes)
         counters = snapshot["counters"]
-        # eight concurrent same-vocabulary queries must not take eight
-        # batches; the window coalesces them onto the shared context
-        assert counters["serve.coalesced"] >= 1
-        assert counters["serve.batches"] < counters["serve.queries"]
-        assert snapshot["histograms"]["serve.batch_size"]["max"] > 1
+        # 4 creates + the head query + one batch for everything behind it
+        assert counters["serve.batches"] == 6
+        assert snapshot["histograms"]["serve.batch_size"]["max"] == queued
+        # all eight share one vocabulary, so seven coalesce onto the first
+        assert counters["serve.coalesced"] == queued - 1
+
+    def test_lone_job_dispatches_without_waiting(self):
+        async def main():
+            async with serve() as (server, _):
+                dispatched = []
+
+                async def record(batch):
+                    dispatched.append(len(batch))
+                    for job in batch:
+                        job.future.set_result((200, {"ok": True}))
+
+                server._run_batch = record
+                pending = asyncio.ensure_future(
+                    server._enqueue("state", "lone", {})
+                )
+                yields = 0
+                while not dispatched and yields < 10:
+                    await asyncio.sleep(0)
+                    yields += 1
+                result = await asyncio.wait_for(pending, 5)
+                return dispatched, yields, result
+
+        dispatched, yields, result = run(main())
+        # No batch window: an idle server hands a lone job straight to
+        # the worker, within a few event-loop turns and no timer.
+        assert dispatched == [1] and yields < 10
+        assert result == (200, {"ok": True})
 
     def test_full_queue_sheds_with_429(self):
         async def main():
@@ -499,18 +553,18 @@ class TestPersistence:
                 return state, ask
 
         before = run(first_life())
-        snapshot_path = os.path.join(store_dir, "persist.json")
-        original_bytes = open(snapshot_path, "rb").read()
+        snapshot_path = Path(store_dir) / "persist.json"
+        original_bytes = snapshot_path.read_bytes()
 
         after, ask = run(second_life())
         assert after == before  # the restored state is indistinguishable
         assert ask[1]["answer"] == "yes"
         # reads never rewrite; and a re-save of the loaded session is
         # byte-identical (canonical JSON + deterministic payload)
-        assert open(snapshot_path, "rb").read() == original_bytes
+        assert snapshot_path.read_bytes() == original_bytes
         store = SessionStore(store_dir)
         store.save(store.load("persist", registry=ContextRegistry()))
-        assert open(snapshot_path, "rb").read() == original_bytes
+        assert snapshot_path.read_bytes() == original_bytes
 
     def test_mutations_snapshot_and_delete_removes_file(self, tmp_path):
         store_dir = str(tmp_path / "store")
@@ -596,7 +650,7 @@ class TestPersistence:
         store = SessionStore(str(tmp_path))
         store.save(Session("t", atoms=["a", "b"], registry=ContextRegistry()))
         path = store.path_for("t")
-        complete = open(path, "rb").read()
+        complete = Path(path).read_bytes()
         with open(path, "wb") as handle:
             handle.write(complete[: len(complete) // 2])  # simulate a tear
         with pytest.raises(ReproError, match="corrupt or truncated"):

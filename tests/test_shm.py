@@ -72,6 +72,24 @@ def shm_names() -> set[str]:
     return {path.name for path in root.glob(f"{SEGMENT_PREFIX}-*")}
 
 
+def _children(pid: int) -> list[int]:
+    """The live child pids of ``pid`` (Linux procfs); empty once it exits."""
+    try:
+        listing = Path(f"/proc/{pid}/task/{pid}/children").read_text()
+    except OSError:
+        return []
+    return [int(child) for child in listing.split()]
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still runs; a zombie nobody reaped counts as dead."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
     """Every test must leave /dev/shm exactly as it found it."""
@@ -482,12 +500,23 @@ class TestJournaledAudit:
             if process.poll() is not None:
                 break  # finished before the kill — resume still must work
             time.sleep(0.02)
+        children = _children(process.pid)
         if process.poll() is None:
+            if Path("/proc").is_dir():  # the children are read from procfs
+                assert children, "the sweep's pool workers were not started"
             process.send_signal(signal.SIGKILL)
         process.wait(timeout=60)
         # The CLI process may have died between segment creation and its
         # arena cleanup; its resource_tracker unlinks them at teardown,
         # which the autouse leak fixture then confirms.
+        # Pool workers notice the dead parent and exit on their own
+        # instead of sleeping on the call queue, reparented to init.
+        deadline = time.monotonic() + 10
+        while any(_alive(pid) for pid in children):
+            assert time.monotonic() < deadline, (
+                f"orphaned children: {[pid for pid in children if _alive(pid)]}"
+            )
+            time.sleep(0.05)
 
         operators = [
             op
