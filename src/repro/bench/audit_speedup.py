@@ -20,11 +20,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from typing import Optional, Sequence
 
 from repro import obs
 from repro.bench.experiments import standard_operators
+from repro.bench.trajectory import save_snapshot, time_paths
 from repro.distances import kernels
 from repro.engine.batched import bits_of_model_set
 from repro.engine.pool import run_audit
@@ -104,23 +104,23 @@ def measure_audit_speedup(
     recurring ψ within and across chunks must be served from cache)."""
     vocabulary = Vocabulary([chr(ord("a") + index) for index in range(atoms)])
     operators = standard_operators()
-    start = time.perf_counter()
-    serial = compute_matrix(
-        operators, vocabulary, axioms, max_scenarios=max_scenarios, rng=rng, jobs=1
-    )
-    serial_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = compute_matrix(
-        operators, vocabulary, axioms, max_scenarios=max_scenarios, rng=rng, jobs=jobs
-    )
-    parallel_seconds = time.perf_counter() - start
-    serial_checksum = matrix_checksum(serial)
-    parallel_checksum = matrix_checksum(parallel)
-    if serial_checksum != parallel_checksum:
-        raise AssertionError(
-            f"serial/parallel matrix checksum mismatch: "
-            f"{serial_checksum} != {parallel_checksum}"
+
+    def audit(workers: int) -> SatisfactionMatrix:
+        return compute_matrix(
+            operators,
+            vocabulary,
+            axioms,
+            max_scenarios=max_scenarios,
+            rng=rng,
+            jobs=workers,
         )
+
+    timing = time_paths(
+        ("serial", lambda: audit(1)),
+        ("parallel", lambda: audit(jobs)),
+        checksum=matrix_checksum,
+        what="standard-operator matrix",
+    )
     stats = run_audit(
         operators,
         list(axioms),
@@ -130,19 +130,13 @@ def measure_audit_speedup(
         jobs=jobs,
     ).stats
     return {
+        "key": f"atoms={atoms} jobs={jobs}",
         "atoms": atoms,
         "max_scenarios": max_scenarios,
         "jobs": jobs,
         "operators": [operator.name for operator in operators],
         "axioms": len(axioms),
-        "serial_seconds": serial_seconds,
-        "parallel_seconds": parallel_seconds,
-        "speedup": (
-            serial_seconds / parallel_seconds
-            if parallel_seconds > 0
-            else float("inf")
-        ),
-        "checksum": serial_checksum,
+        **timing,
         "engine_stats": {
             "chunks": stats.chunks,
             "scenarios": stats.scenarios,
@@ -160,7 +154,6 @@ def write_audit_snapshot(
     max_scenarios: int = 5_000,
     job_counts: Sequence[int] = (4,),
     rng: int = 0,
-    axioms: Optional[Sequence[Axiom]] = None,
     metrics_path: Optional[str] = None,
 ) -> dict:
     """Emit the E7 audit-engine snapshot (one row per worker count).
@@ -168,29 +161,29 @@ def write_audit_snapshot(
     ``metrics_path`` additionally writes an observability payload
     (``repro.obs`` metrics JSON) from one instrumented audit run *after*
     the timed rows, so the timings themselves stay uninstrumented.
-
-    Timestamps are deliberately absent — the snapshot diffs cleanly and
-    the git history dates it.
     """
-    chosen = ALL_AXIOMS if axioms is None else axioms
-    payload = {
-        "experiment": "E7-audit",
-        "numpy": kernels.HAS_NUMPY,
-        "cpu_count": os.cpu_count(),
-        "rows": [
-            measure_audit_speedup(atoms, max_scenarios, jobs, rng, chosen)
+    payload = save_snapshot(
+        path,
+        "E7-audit",
+        {
+            "atoms": atoms,
+            "max_scenarios": max_scenarios,
+            "job_counts": job_counts,
+            "rng": rng,
+        },
+        numpy=kernels.HAS_NUMPY,
+        cpu_count=os.cpu_count(),
+        rows=[
+            measure_audit_speedup(atoms, max_scenarios, jobs, rng)
             for jobs in job_counts
         ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    )
     if metrics_path is not None:
         vocabulary = Vocabulary([chr(ord("a") + index) for index in range(atoms)])
         with obs.use() as registry:
             run_audit(
                 standard_operators(),
-                list(chosen),
+                list(ALL_AXIOMS),
                 vocabulary,
                 max_scenarios=max_scenarios,
                 rng=rng,

@@ -9,12 +9,12 @@ pytest-benchmark can time the execution alone.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.bench.trajectory import save_snapshot, time_paths
 from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import PriorityFitting, ReveszFitting
 from repro.distances import kernels
@@ -183,32 +183,21 @@ def measure_kernel_speedup(
             (DalalRevision, "dalal"),
         ):
             scalar_operator = factory(vectorized=False)
-            start = time.perf_counter()
-            scalar_checksum = run_workload(scalar_operator, workload)
-            scalar_seconds = time.perf_counter() - start
             vector_operator = factory(vectorized=True)
-            start = time.perf_counter()
-            vector_checksum = run_workload(vector_operator, workload)
-            vector_seconds = time.perf_counter() - start
-            if scalar_checksum != vector_checksum:
-                raise AssertionError(
-                    f"{name}: scalar/vectorized checksum mismatch at "
-                    f"|𝒯|={num_atoms}: {scalar_checksum} != {vector_checksum}"
-                )
+            timing = time_paths(
+                ("scalar", lambda: run_workload(scalar_operator, workload)),
+                ("vectorized", lambda: run_workload(vector_operator, workload)),
+                checksum=lambda total: total,
+                what=f"{name} at |𝒯|={num_atoms}",
+            )
             rows.append(
                 {
+                    "key": f"atoms={num_atoms} operator={name}",
                     "atoms": num_atoms,
                     "kb_models": kb_models,
                     "pairs": pairs,
                     "operator": name,
-                    "scalar_seconds": scalar_seconds,
-                    "vectorized_seconds": vector_seconds,
-                    "speedup": (
-                        scalar_seconds / vector_seconds
-                        if vector_seconds > 0
-                        else float("inf")
-                    ),
-                    "checksum": vector_checksum,
+                    **timing,
                     "cache_info": vector_operator.cache_info()._asdict(),
                 }
             )
@@ -231,24 +220,29 @@ def write_scaling_snapshot(
     (``repro.obs`` metrics JSON) from one instrumented replay of the
     smallest kernel workload *after* the timed rows, so the timings
     themselves stay uninstrumented.
-
-    Timestamps are deliberately absent — the snapshot diffs cleanly and
-    the git history dates it.
     """
-    payload = {
-        "experiment": "E9",
+    series = {
         "numpy": kernels.HAS_NUMPY,
         "kernel_speedup": measure_kernel_speedup(
             atom_counts, kb_density, pairs, seed
         ),
     }
     if sweep_atom_counts is not None:
-        payload["operator_sweep"] = measure_operator_sweep(
+        series["operator_sweep"] = measure_operator_sweep(
             sweep_atom_counts, kb_density, max(2, pairs), seed
         )
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    payload = save_snapshot(
+        path,
+        "E9",
+        {
+            "atom_counts": atom_counts,
+            "kb_density": kb_density,
+            "pairs": pairs,
+            "seed": seed,
+            "sweep_atom_counts": sweep_atom_counts,
+        },
+        **series,
+    )
     if metrics_path is not None:
         num_atoms = min(atom_counts)
         space = 1 << num_atoms

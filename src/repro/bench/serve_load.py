@@ -35,6 +35,7 @@ import json
 import time
 from typing import Sequence
 
+from repro.bench.trajectory import save_snapshot
 from repro.serve.protocol import ServeClient
 from repro.serve.server import ArbitrationServer, ServeConfig
 from repro.logic.random_formulas import random_formula, random_vocabulary
@@ -173,6 +174,7 @@ def measure_serve_load(
             atoms, clients, queries_per_client, seed
         )
         return {
+            "key": f"atoms={atoms} clients={clients}",
             "atoms": atoms,
             "clients": clients,
             "sessions": clients,
@@ -204,16 +206,13 @@ def write_serve_snapshot(
     seed: int = 0,
 ) -> dict:
     """Emit the serving-layer snapshot: one row per ``(atoms, clients,
-    queries_per_client)`` workload.  Timestamps are deliberately absent —
-    the snapshot diffs cleanly and git history dates it."""
-    payload = {
-        "experiment": "serve",
-        "load": [
+    queries_per_client)`` workload."""
+    return save_snapshot(
+        path,
+        "serve",
+        {"workloads": workloads, "seed": seed},
+        load=[
             measure_serve_load(atoms, clients, queries, seed=seed)
             for atoms, clients, queries in workloads
         ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
+    )

@@ -24,7 +24,6 @@ other ``BENCH_*.json``: the snapshot diffs cleanly and git dates it.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import resource
@@ -34,11 +33,12 @@ from typing import Optional, Sequence
 
 from repro.bench.audit_speedup import matrix_checksum
 from repro.bench.experiments import standard_operators
+from repro.bench.trajectory import save_snapshot, time_paths
 from repro.distances import kernels
 from repro.errors import ReproError
 from repro.logic.interpretation import Vocabulary
 from repro.postulates.axioms import ALL_AXIOMS, Axiom
-from repro.postulates.matrix import compute_matrix
+from repro.postulates.matrix import SatisfactionMatrix, compute_matrix
 
 __all__ = [
     "measure_worker_warmup",
@@ -136,6 +136,7 @@ def measure_worker_warmup(atoms: int = 12, repeats: int = 3) -> dict:
     rebuild_seconds = min(seconds for seconds, _ in rebuild)
     attach_seconds = min(seconds for seconds, _ in attach)
     return {
+        "key": f"atoms={atoms}",
         "atoms": atoms,
         "operators": [operator.name for operator in operators],
         "repeats": repeats,
@@ -195,51 +196,38 @@ def measure_shm_audit(
             f"no matrix-batched operators at atoms={atoms}; nothing for "
             "the arena to carry"
         )
-    serial = compute_matrix(
-        operators, vocabulary, chosen, max_scenarios=max_scenarios, rng=rng, jobs=1
+
+    def audit(workers: int, shm: Optional[bool] = None) -> SatisfactionMatrix:
+        return compute_matrix(
+            operators,
+            vocabulary,
+            chosen,
+            max_scenarios=max_scenarios,
+            rng=rng,
+            jobs=workers,
+            shm=shm,
+        )
+
+    checksum = matrix_checksum(audit(1))
+    timing = time_paths(
+        ("no_shm", lambda: audit(jobs, shm=False)),
+        ("shm", lambda: audit(jobs, shm=True)),
+        checksum=matrix_checksum,
+        what=f"jobs={jobs} audit at {atoms} atoms",
     )
-    checksum = matrix_checksum(serial)
-    start = time.perf_counter()
-    with_shm = compute_matrix(
-        operators,
-        vocabulary,
-        chosen,
-        max_scenarios=max_scenarios,
-        rng=rng,
-        jobs=jobs,
-        shm=True,
-    )
-    shm_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    without_shm = compute_matrix(
-        operators,
-        vocabulary,
-        chosen,
-        max_scenarios=max_scenarios,
-        rng=rng,
-        jobs=jobs,
-        shm=False,
-    )
-    no_shm_seconds = time.perf_counter() - start
-    for label, matrix in (("shm", with_shm), ("no-shm", without_shm)):
-        other = matrix_checksum(matrix)
-        if other != checksum:
-            raise AssertionError(
-                f"{label} matrix diverged from the serial harness: "
-                f"{other} != {checksum}"
-            )
+    if timing["checksum"] != checksum:
+        raise ReproError(
+            f"arena audits diverged from the serial harness: "
+            f"{timing['checksum']} != {checksum}"
+        )
     return {
+        "key": f"atoms={atoms} jobs={jobs}",
         "atoms": atoms,
         "max_scenarios": max_scenarios,
         "jobs": jobs,
         "operators": [operator.name for operator in operators],
         "axioms": len(chosen),
-        "shm_seconds": shm_seconds,
-        "no_shm_seconds": no_shm_seconds,
-        "speedup": (
-            no_shm_seconds / shm_seconds if shm_seconds > 0 else float("inf")
-        ),
-        "checksum": checksum,
+        **timing,
     }
 
 
@@ -250,25 +238,24 @@ def write_shm_snapshot(
     jobs: int = 4,
     rng: int = 0,
     repeats: int = 3,
-    axioms: Optional[Sequence[Axiom]] = None,
 ) -> dict:
     """Emit the shared-memory snapshot: one warm-up row, one audit row."""
-    payload = {
-        "experiment": "shm",
-        "numpy": kernels.HAS_NUMPY,
-        "cpu_count": os.cpu_count(),
-        "warmup": [measure_worker_warmup(atoms=atoms, repeats=repeats)],
-        "audit": [
+    return save_snapshot(
+        path,
+        "shm",
+        {
+            "atoms": atoms,
+            "max_scenarios": max_scenarios,
+            "jobs": jobs,
+            "repeats": repeats,
+            "rng": rng,
+        },
+        numpy=kernels.HAS_NUMPY,
+        cpu_count=os.cpu_count(),
+        warmup=[measure_worker_warmup(atoms=atoms, repeats=repeats)],
+        audit=[
             measure_shm_audit(
-                atoms=atoms,
-                max_scenarios=max_scenarios,
-                jobs=jobs,
-                rng=rng,
-                axioms=axioms,
+                atoms=atoms, max_scenarios=max_scenarios, jobs=jobs, rng=rng
             )
         ],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
+    )

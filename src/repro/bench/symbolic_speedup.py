@@ -19,19 +19,18 @@ Two series, snapshotted to ``BENCH_symbolic.json``:
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import time
 from typing import Optional, Sequence
 
 from repro.bench.audit_speedup import matrix_checksum
 from repro.bench.experiments import standard_operators
-from repro.errors import ReproError
+from repro.bench.trajectory import save_snapshot, time_paths
 from repro.logic.bdd import manager_for
 from repro.logic.interpretation import Vocabulary
 from repro.logic.random_formulas import random_formula
 from repro.postulates.axioms import Axiom, axiom_by_name
-from repro.postulates.matrix import compute_matrix
+from repro.postulates.matrix import SatisfactionMatrix, compute_matrix
 
 __all__ = [
     "CROSSOVER_AXIOM_NAMES",
@@ -75,41 +74,30 @@ def measure_crossover(
         if axioms is None
         else list(axioms)
     )
-    start = time.perf_counter()
-    dense = compute_matrix(
-        operators, vocabulary, chosen, max_scenarios=max_scenarios, rng=rng
-    )
-    dense_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    symbolic = compute_matrix(
-        operators,
-        vocabulary,
-        chosen,
-        max_scenarios=max_scenarios,
-        rng=rng,
-        impl="symbolic",
-    )
-    symbolic_seconds = time.perf_counter() - start
-    dense_checksum = matrix_checksum(dense)
-    symbolic_checksum = matrix_checksum(symbolic)
-    if dense_checksum != symbolic_checksum:
-        raise ReproError(
-            f"dense/symbolic matrix checksum mismatch at {atoms} atoms: "
-            f"{dense_checksum} != {symbolic_checksum}"
+
+    def audit(impl: str) -> SatisfactionMatrix:
+        return compute_matrix(
+            operators,
+            vocabulary,
+            chosen,
+            max_scenarios=max_scenarios,
+            rng=rng,
+            impl=impl,
         )
+
+    timing = time_paths(
+        ("dense", lambda: audit("dense")),
+        ("symbolic", lambda: audit("symbolic")),
+        checksum=matrix_checksum,
+        what=f"matrix at {atoms} atoms",
+    )
     return {
+        "key": f"atoms={atoms}",
         "atoms": atoms,
         "max_scenarios": max_scenarios,
         "operators": [operator.name for operator in operators],
         "axioms": [axiom.name for axiom in chosen],
-        "dense_seconds": dense_seconds,
-        "symbolic_seconds": symbolic_seconds,
-        "speedup": (
-            dense_seconds / symbolic_seconds
-            if symbolic_seconds > 0
-            else float("inf")
-        ),
-        "checksum": dense_checksum,
+        **timing,
     }
 
 
@@ -155,6 +143,7 @@ def measure_query30(
         elapsed = time.perf_counter() - start
         rows.append(
             {
+                "key": f"atoms={atoms} operator={operator.name}",
                 "atoms": atoms,
                 "operator": operator.name,
                 "queries": queries,
@@ -184,18 +173,20 @@ def write_symbolic_snapshot(
 
     ``crossover`` is a ladder of ``(atoms, max_scenarios)`` pairs — the
     scenario budget shrinks as the dense side's per-scenario cost grows,
-    keeping the whole snapshot minutes.  Timestamps are deliberately
-    absent: the snapshot diffs cleanly and git history dates it.
+    keeping the whole snapshot minutes.
     """
-    payload = {
-        "experiment": "symbolic",
-        "crossover": [
+    return save_snapshot(
+        path,
+        "symbolic",
+        {
+            "crossover": crossover,
+            "query_atoms": query_atoms,
+            "queries": queries,
+            "rng": rng,
+        },
+        crossover=[
             measure_crossover(atoms, max_scenarios, rng)
             for atoms, max_scenarios in crossover
         ],
-        "query30": measure_query30(query_atoms, queries, rng),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return payload
+        query30=measure_query30(query_atoms, queries, rng),
+    )

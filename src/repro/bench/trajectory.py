@@ -1,22 +1,30 @@
-"""Perf-trajectory gate: compare fresh benchmark runs to committed baselines.
+"""The BENCH snapshot envelope and the perf-trajectory gate built on it.
 
-The speedups PRs 1–4 bought (34–90x kernels, 3.85x engine, 450–723x dense
-weighted) live in the ``BENCH_*.json`` snapshots.  Nothing so far failed
-when they rotted.  This module turns the snapshots into a regression
-gate:
+Every ``BENCH_*.json`` snapshot times two realizations of one semantics
+(scalar vs vectorized kernels, serial vs pooled audits, dense vs
+symbolic, direct vs served, ...) and shares one envelope:
 
-* :func:`extract_points` reads the speedup series out of any known
-  snapshot shape (E9 kernel rows, E7 audit rows, E4 weighted rows, shm
-  warm-up/audit rows);
+* ``version`` — :data:`SNAPSHOT_VERSION`;
+* ``experiment`` — a name registered in :data:`WRITERS`;
+* ``params`` — the writer's JSON keyword arguments, so
+  ``WRITERS[experiment](path, **params)`` re-measures the same workload;
+* any number of row series; a row that carries a ``speedup`` is a gated
+  point and must carry a ``key`` (and may carry a ``checksum``) beside
+  it.  Rows without a ``speedup`` are context, not trajectory.
+
+Writers persist snapshots with :func:`save_snapshot` and time their two
+paths with :func:`time_paths`.  The gate reads only the envelope:
+
+* :func:`extract_points` takes every keyed speedup row of a snapshot;
 * :func:`compare_payloads` matches a fresh payload against a baseline
   point by point, with a *ratio* tolerance band — a fresh speedup must
-  retain at least ``min_ratio`` of the baseline's (ratios, not absolute
-  seconds, so the gate is robust to hardware differences between the
-  committing box and CI).  Checksums, where both sides carry them, must
-  match exactly: the benchmark workloads are seeded, so a checksum drift
-  is a correctness bug, not noise.
-* :func:`regenerate_payload` re-runs the measurement behind a baseline
-  with the same workload parameters, for the CI lane's one-command flow.
+  retain at least :data:`DEFAULT_MIN_RATIO` of the baseline's (ratios, not
+  absolute seconds, so the gate is robust to hardware differences between
+  the committing box and CI).  Checksums, where both sides carry them,
+  must match exactly: the benchmark workloads are seeded, so a checksum
+  drift is a correctness bug, not noise.
+* :func:`regenerate_payload` re-runs the writer behind a baseline with
+  the baseline's ``params``, for the CI lane's one-command flow.
 
 Exit semantics (``repro trajectory``): any regression, missing row, or
 checksum mismatch is a non-zero exit — the CI perf lane fails.
@@ -24,20 +32,28 @@ checksum mismatch is a non-zero exit — the CI perf lane fails.
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
+import tempfile
+import time
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import ReproError
+from repro.kb.serialize import save_json_snapshot
 
 __all__ = [
     "DEFAULT_MIN_RATIO",
+    "SNAPSHOT_VERSION",
+    "WRITERS",
     "TrajectoryPoint",
     "TrajectoryIssue",
     "TrajectoryReport",
+    "save_snapshot",
+    "time_paths",
     "extract_points",
     "compare_payloads",
-    "compare_files",
     "regenerate_payload",
     "render_report",
 ]
@@ -47,6 +63,88 @@ __all__ = [
 #: baseline, and the gate is for *rot* (a 34x kernel silently going
 #: scalar), not for 10% wobble.
 DEFAULT_MIN_RATIO = 0.2
+
+#: The envelope version every snapshot carries; the gate refuses others.
+SNAPSHOT_VERSION = 1
+
+
+def _lazy_writer(module: str, name: str) -> Callable[..., dict[str, Any]]:
+    """``module.name``, imported on first call: the writers pull in the
+    pool, symbolic and serving stacks, which importing the gate must not."""
+
+    def write(path: str, **params: Any) -> dict[str, Any]:
+        return getattr(importlib.import_module(module), name)(path, **params)
+
+    return write
+
+
+#: experiment -> the snapshot writer that regenerates it.  The only place
+#: the gate names an experiment: a new snapshot needs one entry here.
+WRITERS: dict[str, Callable[..., dict[str, Any]]] = {
+    "E9": _lazy_writer("repro.bench.scaling", "write_scaling_snapshot"),
+    "E7-audit": _lazy_writer("repro.bench.audit_speedup", "write_audit_snapshot"),
+    "E4-weighted": _lazy_writer(
+        "repro.bench.weighted_speedup", "write_weighted_snapshot"
+    ),
+    "shm": _lazy_writer("repro.bench.shm_speedup", "write_shm_snapshot"),
+    "symbolic": _lazy_writer(
+        "repro.bench.symbolic_speedup", "write_symbolic_snapshot"
+    ),
+    "serve": _lazy_writer("repro.bench.serve_load", "write_serve_snapshot"),
+}
+
+
+def save_snapshot(
+    path: str, experiment: str, params: dict[str, Any], **series: Any
+) -> dict[str, Any]:
+    """Write ``series`` under the envelope to ``path``; returns the payload.
+
+    ``params`` goes through JSON once so the returned payload equals what
+    a reader loads back (tuples become lists).  Timestamps are
+    deliberately absent: the snapshot diffs cleanly and git dates it.
+    """
+    payload = {
+        "version": SNAPSHOT_VERSION,
+        "experiment": experiment,
+        "params": json.loads(json.dumps(params)),
+        **series,
+    }
+    save_json_snapshot(path, payload)
+    return payload
+
+
+def time_paths(
+    reference: tuple[str, Callable[[], Any]],
+    candidate: tuple[str, Callable[[], Any]],
+    checksum: Callable[[Any], Any],
+    what: str,
+) -> dict[str, Any]:
+    """Time two ``(name, run)`` paths over one workload, reference first.
+
+    Returns the row fields ``<name>_seconds`` for both, ``speedup``
+    (reference over candidate) and ``checksum``; refuses results whose
+    checksums differ, since a speedup between two answers is meaningless.
+    """
+    row: dict[str, Any] = {}
+    digests = []
+    for name, run in (reference, candidate):
+        start = time.perf_counter()
+        result = run()
+        row[f"{name}_seconds"] = time.perf_counter() - start
+        digests.append(checksum(result))
+    if digests[0] != digests[1]:
+        raise ReproError(
+            f"{what}: {reference[0]}/{candidate[0]} checksum mismatch: "
+            f"{digests[0]} != {digests[1]}"
+        )
+    reference_seconds, candidate_seconds = row.values()
+    row["speedup"] = (
+        reference_seconds / candidate_seconds
+        if candidate_seconds > 0
+        else float("inf")
+    )
+    row["checksum"] = digests[1]
+    return row
 
 
 @dataclass(frozen=True)
@@ -77,7 +175,6 @@ class TrajectoryReport:
     """Outcome of one baseline/fresh comparison."""
 
     experiment: str
-    min_ratio: float
     compared: int = 0
     issues: list[TrajectoryIssue] = field(default_factory=list)
     rows: list[dict[str, Any]] = field(default_factory=list)
@@ -87,93 +184,89 @@ class TrajectoryReport:
         return not self.issues
 
 
-def _series_points(
-    payload: dict[str, Any],
-    series: str,
-    key_fields: tuple[str, ...],
-) -> list[TrajectoryPoint]:
-    points = []
-    for row in payload.get(series, []):
-        key = " ".join(f"{name}={row[name]}" for name in key_fields if name in row)
-        points.append(
-            TrajectoryPoint(
-                series=series,
-                key=key,
-                speedup=float(row["speedup"]),
-                checksum=(
-                    str(row["checksum"]) if row.get("checksum") is not None else None
-                ),
-            )
+def _check_envelope(payload: dict[str, Any]) -> str:
+    """The snapshot's registered experiment; refuses a malformed envelope."""
+    experiment = payload.get("experiment")
+    if experiment not in WRITERS:
+        raise ReproError(
+            f"unknown benchmark snapshot: experiment={experiment!r} "
+            f"(expected one of {', '.join(sorted(WRITERS))})"
         )
-    return points
+    version = payload.get("version")
+    if version != SNAPSHOT_VERSION:
+        raise ReproError(
+            f"unsupported {experiment} snapshot version: found {version!r}, "
+            f"expected {SNAPSHOT_VERSION}"
+        )
+    if not isinstance(payload.get("params"), dict):
+        raise ReproError(
+            f"{experiment} snapshot has no 'params': nothing records the "
+            "workload its rows measured"
+        )
+    return experiment
 
 
 def extract_points(payload: dict[str, Any]) -> list[TrajectoryPoint]:
-    """The speedup series of any known snapshot shape.
+    """Every keyed speedup row of a snapshot, in payload order.
 
-    Series without speedups (e.g. E9's ``operator_sweep``) are not part
-    of the trajectory and are ignored.
+    Rows without a ``speedup`` (an operator sweep's raw timings, say)
+    are not part of the trajectory and are ignored; a ``speedup`` row
+    without a ``key`` is refused.
     """
-    experiment = payload.get("experiment")
-    if experiment == "E9":
-        return _series_points(payload, "kernel_speedup", ("atoms", "operator"))
-    if experiment == "E7-audit":
-        return _series_points(payload, "rows", ("atoms", "jobs"))
-    if experiment == "E4-weighted":
-        return _series_points(
-            payload, "fitting_speedup", ("atoms", "workload")
-        ) + _series_points(payload, "merge_speedup", ("atoms", "workload"))
-    if experiment == "shm":
-        return _series_points(payload, "warmup", ("atoms",)) + _series_points(
-            payload, "audit", ("atoms", "jobs")
-        )
-    if experiment == "symbolic":
-        return _series_points(payload, "crossover", ("atoms",)) + _series_points(
-            payload, "query30", ("atoms", "operator")
-        )
-    if experiment == "serve":
-        return _series_points(payload, "load", ("atoms", "clients"))
-    raise ReproError(
-        f"unknown benchmark snapshot: experiment={experiment!r} "
-        "(expected E9, E7-audit, E4-weighted, shm, symbolic, or serve)"
-    )
+    _check_envelope(payload)
+    points = []
+    for series, rows in payload.items():
+        if not isinstance(rows, list):
+            continue
+        for index, row in enumerate(rows):
+            if not isinstance(row, dict) or "speedup" not in row:
+                continue
+            if "key" not in row:
+                raise ReproError(f"{series} row {index} has a speedup but no key")
+            points.append(
+                TrajectoryPoint(
+                    series=series,
+                    key=str(row["key"]),
+                    speedup=float(row["speedup"]),
+                    checksum=(
+                        str(row["checksum"])
+                        if row.get("checksum") is not None
+                        else None
+                    ),
+                )
+            )
+    return points
 
 
 def compare_payloads(
-    baseline: dict[str, Any],
-    fresh: dict[str, Any],
-    min_ratio: float = DEFAULT_MIN_RATIO,
-    allow_missing: bool = False,
+    baseline: dict[str, Any], fresh: dict[str, Any]
 ) -> TrajectoryReport:
     """Gate a fresh snapshot payload against its committed baseline.
 
-    Every baseline point must appear in the fresh payload (unless
-    ``allow_missing``), retain ``min_ratio`` of the baseline speedup, and
-    agree on the workload checksum when both sides carry one.  Extra
-    fresh points (a later PR widened the benchmark) are fine.
+    Every baseline point must appear in the fresh payload, retain
+    :data:`DEFAULT_MIN_RATIO` of the baseline speedup, and agree on the
+    workload checksum when both sides carry one.  Extra fresh points (a
+    later change widened the benchmark) are fine.
     """
     if baseline.get("experiment") != fresh.get("experiment"):
         raise ReproError(
             f"experiment mismatch: baseline is {baseline.get('experiment')!r}, "
             f"fresh is {fresh.get('experiment')!r}"
         )
-    report = TrajectoryReport(
-        experiment=str(baseline.get("experiment")), min_ratio=min_ratio
-    )
+    report = TrajectoryReport(experiment=str(baseline.get("experiment")))
     fresh_points = {
         (point.series, point.key): point for point in extract_points(fresh)
     }
     for base in extract_points(baseline):
         current = fresh_points.get((base.series, base.key))
         if current is None:
-            if not allow_missing:
-                report.issues.append(
-                    TrajectoryIssue(
-                        kind="missing",
-                        label=base.label,
-                        detail="present in baseline, absent from fresh run",
-                    )
+            report.issues.append(
+                TrajectoryIssue(
+                    kind="missing",
+                    label=base.label,
+                    detail="present in baseline, absent from fresh run",
                 )
+            )
             continue
         report.compared += 1
         ratio = (
@@ -186,7 +279,7 @@ def compare_payloads(
             "ratio": ratio,
             "status": "ok",
         }
-        if ratio < min_ratio:
+        if ratio < DEFAULT_MIN_RATIO:
             row["status"] = "regressed"
             report.issues.append(
                 TrajectoryIssue(
@@ -195,7 +288,7 @@ def compare_payloads(
                     detail=(
                         f"speedup {current.speedup:.2f}x is "
                         f"{ratio:.2f}x of baseline {base.speedup:.2f}x "
-                        f"(floor {min_ratio:.2f})"
+                        f"(floor {DEFAULT_MIN_RATIO:.2f})"
                     ),
                 )
             )
@@ -220,146 +313,22 @@ def compare_payloads(
     return report
 
 
-def compare_files(
-    baseline_path: str,
-    fresh_path: str,
-    min_ratio: float = DEFAULT_MIN_RATIO,
-    allow_missing: bool = False,
-) -> TrajectoryReport:
-    """File-path convenience wrapper around :func:`compare_payloads`."""
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    with open(fresh_path, "r", encoding="utf-8") as handle:
-        fresh = json.load(handle)
-    return compare_payloads(baseline, fresh, min_ratio, allow_missing)
+def regenerate_payload(baseline: dict[str, Any]) -> dict[str, Any]:
+    """Re-run the writer behind ``baseline`` with the baseline's ``params``.
 
-
-def regenerate_payload(
-    baseline: dict[str, Any], path: Optional[str] = None
-) -> dict[str, Any]:
-    """Re-run the measurement behind ``baseline`` with matching parameters.
-
-    Parameters that the snapshot records (atom counts, pair counts, job
-    counts, source counts) are mirrored from the baseline rows; seeds are
-    the writers' defaults, which is what every committed snapshot used.
-    ``path`` optionally persists the fresh snapshot (the writers require a
-    path, so a throwaway temp file is used when omitted).
+    The writers require a path, so the fresh snapshot goes to a temporary
+    directory that is removed afterwards.
     """
-    import os
-    import tempfile
-
-    experiment = baseline.get("experiment")
-    handle_path = path
-    temp_path = None
-    if handle_path is None:
-        fd, temp_path = tempfile.mkstemp(suffix=".json")
-        os.close(fd)
-        handle_path = temp_path
-    try:
-        if experiment == "E9":
-            from repro.bench.scaling import write_scaling_snapshot
-
-            rows = baseline.get("kernel_speedup", [])
-            atom_counts = sorted({int(row["atoms"]) for row in rows}) or [10]
-            pairs = int(rows[0]["pairs"]) if rows else 3
-            return write_scaling_snapshot(
-                handle_path,
-                atom_counts=atom_counts,
-                pairs=pairs,
-                sweep_atom_counts=None,
-            )
-        if experiment == "E7-audit":
-            from repro.bench.audit_speedup import write_audit_snapshot
-
-            rows = baseline.get("rows", [])
-            job_counts = sorted({int(row["jobs"]) for row in rows}) or [4]
-            atoms = int(rows[0]["atoms"]) if rows else 2
-            max_scenarios = int(rows[0]["max_scenarios"]) if rows else 5_000
-            return write_audit_snapshot(
-                handle_path,
-                atoms=atoms,
-                max_scenarios=max_scenarios,
-                job_counts=job_counts,
-            )
-        if experiment == "E4-weighted":
-            from repro.bench.weighted_speedup import write_weighted_snapshot
-
-            rows = baseline.get("fitting_speedup", [])
-            atom_counts = sorted({int(row["atoms"]) for row in rows}) or [10]
-            pairs = int(rows[0]["pairs"]) if rows else 3
-            merge_rows = baseline.get("merge_speedup", [])
-            sources = int(merge_rows[0]["sources"]) if merge_rows else 4
-            return write_weighted_snapshot(
-                handle_path,
-                atom_counts=atom_counts,
-                pairs=pairs,
-                sources=sources,
-            )
-        if experiment == "shm":
-            from repro.bench.shm_speedup import write_shm_snapshot
-
-            warmup = baseline.get("warmup", [])
-            audit = baseline.get("audit", [])
-            atoms = int(warmup[0]["atoms"]) if warmup else 12
-            repeats = int(warmup[0]["repeats"]) if warmup else 3
-            jobs = int(audit[0]["jobs"]) if audit else 4
-            max_scenarios = int(audit[0]["max_scenarios"]) if audit else 6
-            return write_shm_snapshot(
-                handle_path,
-                atoms=atoms,
-                max_scenarios=max_scenarios,
-                jobs=jobs,
-                repeats=repeats,
-            )
-        if experiment == "symbolic":
-            from repro.bench.symbolic_speedup import write_symbolic_snapshot
-
-            crossover_rows = baseline.get("crossover", [])
-            ladder = [
-                (int(row["atoms"]), int(row["max_scenarios"]))
-                for row in crossover_rows
-            ] or [(4, 120), (6, 120), (8, 60), (10, 24), (12, 8)]
-            query_rows = baseline.get("query30", [])
-            query_atoms = int(query_rows[0]["atoms"]) if query_rows else 30
-            queries = int(query_rows[0]["queries"]) if query_rows else 20
-            return write_symbolic_snapshot(
-                handle_path,
-                crossover=ladder,
-                query_atoms=query_atoms,
-                queries=queries,
-            )
-        if experiment == "serve":
-            from repro.bench.serve_load import write_serve_snapshot
-
-            rows = baseline.get("load", [])
-            workloads = [
-                (
-                    int(row["atoms"]),
-                    int(row["clients"]),
-                    int(row.get("queries_per_client", 12)),
-                )
-                for row in rows
-            ] or [(4, 1, 24), (4, 8, 12), (6, 8, 12)]
-            seed = int(rows[0].get("seed", 0)) if rows else 0
-            return write_serve_snapshot(
-                handle_path, workloads=workloads, seed=seed
-            )
-        raise ReproError(
-            f"cannot regenerate unknown experiment {experiment!r}"
-        )
-    finally:
-        if temp_path is not None:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
+    writer = WRITERS[_check_envelope(baseline)]
+    with tempfile.TemporaryDirectory() as directory:
+        return writer(os.path.join(directory, "fresh.json"), **baseline["params"])
 
 
 def render_report(report: TrajectoryReport) -> str:
     """Human-readable gate verdict."""
     lines = [
         f"perf trajectory — {report.experiment} "
-        f"(floor {report.min_ratio:.2f}x of baseline)"
+        f"(floor {DEFAULT_MIN_RATIO:.2f}x of baseline)"
     ]
     for row in report.rows:
         lines.append(

@@ -25,11 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.bench.trajectory import save_snapshot, time_paths
 from repro.core.weighted import (
     WeightedKnowledgeBase,
     WeightedModelFitting,
@@ -106,55 +106,51 @@ def measure_fitting_speedup(
         legacy_operator = WeightedModelFitting(
             wdist_assignment(vectorized=False, cache_size=None)
         )
-        start = time.perf_counter()
-        legacy_results = []
-        for psi_map, mu_map in workload:
-            psi = WeightedKnowledgeBase(vocabulary, psi_map)
-            mu = WeightedKnowledgeBase(vocabulary, mu_map)
-            result = legacy_operator.apply(psi, mu)
-            legacy_results.append(
-                {
-                    str(mask): _as_int(result.weight_of_mask(mask))
-                    for mask in result.support().masks
-                }
-            )
-        legacy_seconds = time.perf_counter() - start
         dense_operator = DenseWeightedOperator(WeightedModelFitting(), vocabulary)
-        start = time.perf_counter()
-        dense_results = []
-        for psi_map, mu_map in workload:
-            psi = WeightedKnowledgeBase(vocabulary, psi_map)
-            mu = WeightedKnowledgeBase(vocabulary, mu_map)
-            vector = dense_operator.apply_dense(psi.dense(), mu.dense())
-            dense_results.append(
-                {
-                    str(mask): _as_int(value)
-                    for mask, value in enumerate(vector)
-                    if value
-                }
-            )
-        dense_seconds = time.perf_counter() - start
-        legacy_checksum = _checksum(legacy_results)
-        dense_checksum = _checksum(dense_results)
-        if legacy_checksum != dense_checksum:
-            raise AssertionError(
-                f"fitting: legacy/dense checksum mismatch at |𝒯|={num_atoms}: "
-                f"{legacy_checksum} != {dense_checksum}"
-            )
+
+        def legacy() -> list[dict[str, int]]:
+            results = []
+            for psi_map, mu_map in workload:
+                psi = WeightedKnowledgeBase(vocabulary, psi_map)
+                mu = WeightedKnowledgeBase(vocabulary, mu_map)
+                result = legacy_operator.apply(psi, mu)
+                results.append(
+                    {
+                        str(mask): _as_int(result.weight_of_mask(mask))
+                        for mask in result.support().masks
+                    }
+                )
+            return results
+
+        def dense() -> list[dict[str, int]]:
+            results = []
+            for psi_map, mu_map in workload:
+                psi = WeightedKnowledgeBase(vocabulary, psi_map)
+                mu = WeightedKnowledgeBase(vocabulary, mu_map)
+                vector = dense_operator.apply_dense(psi.dense(), mu.dense())
+                results.append(
+                    {
+                        str(mask): _as_int(value)
+                        for mask, value in enumerate(vector)
+                        if value
+                    }
+                )
+            return results
+
+        timing = time_paths(
+            ("legacy", legacy),
+            ("dense", dense),
+            checksum=_checksum,
+            what=f"fitting at |𝒯|={num_atoms}",
+        )
         rows.append(
             {
+                "key": f"atoms={num_atoms} workload=e4-fitting",
                 "workload": "e4-fitting",
                 "atoms": num_atoms,
                 "pairs": pairs,
                 "dense_backend": dense_operator.dense,
-                "legacy_seconds": legacy_seconds,
-                "dense_seconds": dense_seconds,
-                "speedup": (
-                    legacy_seconds / dense_seconds
-                    if dense_seconds > 0
-                    else float("inf")
-                ),
-                "checksum": dense_checksum,
+                **timing,
                 "cache_info": {
                     name: info._asdict()
                     for name, info in dense_operator.cache_info().items()
@@ -183,38 +179,33 @@ def measure_merge_speedup(
         combined = WeightedKnowledgeBase(vocabulary, workload[0][0])
         for psi_map, _ in workload[1:]:
             combined = combined.join(WeightedKnowledgeBase(vocabulary, psi_map))
-        start = time.perf_counter()
-        legacy_values = [
-            _as_int(
-                combined.wdist(Interpretation(vocabulary, mask), metric, impl="python")
-            )
-            for mask in range(vocabulary.interpretation_count)
-        ]
-        legacy_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        dense_values = [_as_int(value) for value in combined.wdist_dense(metric)]
-        dense_seconds = time.perf_counter() - start
-        legacy_checksum = _checksum(legacy_values)
-        dense_checksum = _checksum(dense_values)
-        if legacy_checksum != dense_checksum:
-            raise AssertionError(
-                f"merge: legacy/dense checksum mismatch at |𝒯|={num_atoms}: "
-                f"{legacy_checksum} != {dense_checksum}"
-            )
+        timing = time_paths(
+            (
+                "legacy",
+                lambda: [
+                    _as_int(
+                        combined.wdist(
+                            Interpretation(vocabulary, mask), metric, impl="python"
+                        )
+                    )
+                    for mask in range(vocabulary.interpretation_count)
+                ],
+            ),
+            (
+                "dense",
+                lambda: [_as_int(value) for value in combined.wdist_dense(metric)],
+            ),
+            checksum=_checksum,
+            what=f"merge at |𝒯|={num_atoms}",
+        )
         rows.append(
             {
+                "key": f"atoms={num_atoms} workload=e13-merge-wdist",
                 "workload": "e13-merge-wdist",
                 "atoms": num_atoms,
                 "sources": sources,
                 "support": len(combined.support()),
-                "legacy_seconds": legacy_seconds,
-                "dense_seconds": dense_seconds,
-                "speedup": (
-                    legacy_seconds / dense_seconds
-                    if dense_seconds > 0
-                    else float("inf")
-                ),
-                "checksum": dense_checksum,
+                **timing,
             }
         )
     return rows
@@ -234,15 +225,14 @@ def write_weighted_snapshot(
     instrumented replay of the smallest fitting workload *after* the timed
     rows, so the timings themselves stay uninstrumented.
     """
-    payload = {
-        "experiment": "E4-weighted",
-        "numpy": kernels.HAS_NUMPY,
-        "fitting_speedup": measure_fitting_speedup(atom_counts, pairs, seed),
-        "merge_speedup": measure_merge_speedup(atom_counts, sources, seed),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    payload = save_snapshot(
+        path,
+        "E4-weighted",
+        {"atom_counts": atom_counts, "pairs": pairs, "sources": sources, "seed": seed},
+        numpy=kernels.HAS_NUMPY,
+        fitting_speedup=measure_fitting_speedup(atom_counts, pairs, seed),
+        merge_speedup=measure_merge_speedup(atom_counts, sources, seed),
+    )
     if metrics_path is not None:
         num_atoms = min(atom_counts)
         vocabulary, workload = make_weighted_workload(num_atoms, pairs, seed)

@@ -395,13 +395,12 @@ def _cmd_soak(args, out) -> int:
 def _cmd_trajectory(args, out) -> int:
     """Compare fresh benchmark snapshots against committed baselines;
     exit 1 on any regression, missing row, or checksum mismatch."""
-    import json
-
     from repro.bench.trajectory import (
         compare_payloads,
         regenerate_payload,
         render_report,
     )
+    from repro.kb.serialize import load_json_snapshot
 
     if args.fresh and len(args.fresh) != len(args.baseline):
         raise ReproError(
@@ -412,19 +411,12 @@ def _cmd_trajectory(args, out) -> int:
         raise ReproError("pass --fresh FILE per baseline, or --run to regenerate")
     all_ok = True
     for index, baseline_path in enumerate(args.baseline):
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
+        baseline = load_json_snapshot(baseline_path, what="benchmark baseline")
         if args.fresh:
-            with open(args.fresh[index], "r", encoding="utf-8") as handle:
-                fresh = json.load(handle)
+            fresh = load_json_snapshot(args.fresh[index], what="fresh snapshot")
         else:
             fresh = regenerate_payload(baseline)
-        report = compare_payloads(
-            baseline,
-            fresh,
-            min_ratio=args.min_ratio,
-            allow_missing=args.allow_missing,
-        )
+        report = compare_payloads(baseline, fresh)
         print(render_report(report), file=out)
         print(file=out)
         all_ok = all_ok and report.ok
@@ -683,19 +675,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--run",
         action="store_true",
         help="regenerate each fresh snapshot in-process with the "
-        "baseline's workload parameters",
-    )
-    trajectory_parser.add_argument(
-        "--min-ratio",
-        type=float,
-        default=0.2,
-        help="fresh speedup must retain this fraction of the baseline "
-        "(default: %(default)s)",
-    )
-    trajectory_parser.add_argument(
-        "--allow-missing",
-        action="store_true",
-        help="do not fail on baseline rows absent from the fresh run",
+        "baseline's recorded params",
     )
     trajectory_parser.set_defaults(handler=_cmd_trajectory)
 

@@ -17,8 +17,9 @@ The durability contract mirrors :class:`repro.soak.SoakJournal`:
 ``manifest.json``
     The audit's configuration (operators, axioms, vocabulary, scenario
     budget, integer seed, chunking, per-unit plan fingerprints) plus a
-    SHA-256 digest of it.  Resuming under any other configuration is
-    refused — the chunk indices would mean different scenarios.
+    SHA-256 digest of it, written atomically (temp file, fsync, rename).
+    Resuming under any other configuration is refused — the chunk
+    indices would mean different scenarios — and so is a torn manifest.
 ``journal.jsonl``
     One JSON record per completed chunk, appended, flushed, and fsynced.
     A torn final line (killed mid-write) is silently dropped; mid-file
@@ -203,6 +204,10 @@ class ChunkJournal:
 
     def initialize(self, config: dict[str, Any]) -> None:
         """Start a fresh journal; refuses to clobber an existing one."""
+        # Imported here: repro.kb imports the operators, which import
+        # this package.
+        from repro.kb.serialize import save_json_snapshot
+
         if self.exists():
             raise ReproError(
                 f"audit journal already exists at {self._dir}; "
@@ -214,9 +219,7 @@ class ChunkJournal:
             "digest": _digest(config),
             "config": config,
         }
-        with open(self.manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        save_json_snapshot(str(self.manifest_path), manifest)
 
     def validate(self, config: dict[str, Any]) -> None:
         """Check the on-disk manifest matches ``config``'s digest exactly.
@@ -227,10 +230,13 @@ class ChunkJournal:
         chunks describe a *different* sweep — resuming would silently mix
         two scenario spaces, hence the refusal.
         """
+        from repro.kb.serialize import load_json_snapshot
+
         if not self.exists():
             raise ReproError(f"no audit journal at {self._dir}")
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = load_json_snapshot(
+            str(self.manifest_path), what="audit journal manifest"
+        )
         version = manifest.get("version")
         if version != AUDIT_JOURNAL_VERSION:
             raise ReproError(

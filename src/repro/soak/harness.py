@@ -29,14 +29,12 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro import obs
-from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import ReveszFitting
 from repro.errors import ReproError
-from repro.kb.knowledge_base import ChangeRecord, KnowledgeBase
+from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.serialize import knowledge_base_from_json, knowledge_base_to_json
 from repro.logic.enumeration import form_formula, models
 from repro.logic.semantics import ModelSet
-from repro.logic.syntax import disjoin
 from repro.operators.revision import DalalRevision
 from repro.operators.update import WinslettUpdate
 from repro.soak.invariants import InvariantLedger, OnlineInvariants
@@ -129,15 +127,7 @@ def _rebase(kb: KnowledgeBase, revision, update, fitting) -> KnowledgeBase:
     )
 
 
-def _apply_step(
-    kb: KnowledgeBase,
-    step: SoakStep,
-    incoming: list[ModelSet],
-    arbitration: ArbitrationOperator,
-    revision,
-    update,
-    fitting,
-) -> KnowledgeBase:
+def _apply_step(kb: KnowledgeBase, step: SoakStep) -> KnowledgeBase:
     if step.kind == "revise":
         return kb.revise(step.formulas[0])
     if step.kind == "update":
@@ -145,23 +135,7 @@ def _apply_step(
     if step.kind == "arbitrate":
         return kb.arbitrate(step.formulas[0])
     if step.kind == "merge":
-        merged = arbitration.merge_models([kb.model_set, *incoming])
-        record = ChangeRecord(
-            operation="merge",
-            operator=arbitration.name,
-            incoming=disjoin(list(step.formulas)),
-            before=kb.model_set,
-            after=merged,
-        )
-        return KnowledgeBase(
-            form_formula(merged),
-            atoms=list(kb.vocabulary.atoms),
-            revision=revision,
-            update=update,
-            fitting=fitting,
-            _models=merged,
-            _history=kb.history + (record,),
-        )
+        return kb.merge(step.formulas)
     raise ReproError(f"unknown soak step kind {step.kind!r}")
 
 
@@ -183,7 +157,6 @@ def run_soak(
     started = time.perf_counter()
     vocabulary = config.vocabulary()
     revision, update, fitting = DalalRevision(), WinslettUpdate(), ReveszFitting()
-    arbitration = ArbitrationOperator(fitting)
 
     generator = random.Random(config.seed)
     kb = _fresh_kb(config, revision, update, fitting)
@@ -234,9 +207,7 @@ def run_soak(
                 models(formula, vocabulary) for formula in step.formulas
             ]
             before = kb
-            kb = _apply_step(
-                kb, step, incoming, arbitration, revision, update, fitting
-            )
+            kb = _apply_step(kb, step)
             invariants.observe(step, before.model_set, kb.model_set, incoming)
             if (step_index + 1) % config.roundtrip_every == 0:
                 invariants.roundtrip(step_index, kb)

@@ -10,9 +10,10 @@ steps draw-identically.
 Layout under the journal directory:
 
 ``manifest.json``
-    The :class:`~repro.soak.stream.SoakConfig` that defines the stream.
-    Resuming under any other config is refused — every field changes
-    either the draws or the check schedule.
+    The :class:`~repro.soak.stream.SoakConfig` that defines the stream,
+    written atomically (temp file, fsync, rename).  Resuming under any
+    other config is refused — every field changes either the draws or
+    the check schedule — and so is a torn manifest.
 ``journal.jsonl``
     One JSON record per *completed* chunk, appended and fsynced.  A kill
     mid-chunk loses at most the partial chunk: resume restarts from the
@@ -28,6 +29,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.errors import ReproError
+from repro.kb.serialize import load_json_snapshot, save_json_snapshot
 from repro.soak.stream import SoakConfig
 
 __all__ = [
@@ -87,17 +89,18 @@ class SoakJournal:
                 "pass resume=True to continue it"
             )
         self._dir.mkdir(parents=True, exist_ok=True)
-        manifest = {"version": JOURNAL_VERSION, "config": config.to_dict()}
-        with open(self.manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        save_json_snapshot(
+            str(self.manifest_path),
+            {"version": JOURNAL_VERSION, "config": config.to_dict()},
+        )
 
     def validate(self, config: SoakConfig) -> None:
         """Check the on-disk manifest matches ``config`` exactly."""
         if not self.exists():
             raise ReproError(f"no soak journal at {self._dir}")
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        manifest = load_json_snapshot(
+            str(self.manifest_path), what="soak journal manifest"
+        )
         version = manifest.get("version")
         if version != JOURNAL_VERSION:
             raise ReproError(

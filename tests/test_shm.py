@@ -356,6 +356,14 @@ class TestChunkJournal:
         with pytest.raises(ReproError, match="journal"):
             journal.validate(manifest_for(tmp_path, max_scenarios=200))
 
+    def test_torn_manifest_refused(self, tmp_path):
+        journal = ChunkJournal(tmp_path / "j")
+        journal.initialize(manifest_for(tmp_path))
+        text = journal.manifest_path.read_text(encoding="utf-8")
+        journal.manifest_path.write_text(text[: len(text) // 2], encoding="utf-8")
+        with pytest.raises(ReproError, match="manifest"):
+            journal.validate(manifest_for(tmp_path))
+
     def test_torn_final_line_dropped_mid_file_corruption_raises(self, tmp_path):
         journal = ChunkJournal(tmp_path / "j")
         journal.initialize(manifest_for(tmp_path))

@@ -119,6 +119,14 @@ class TestJournal:
         with pytest.raises(ReproError):
             journal.validate(SoakConfig(steps=10, seed=2))
 
+    def test_torn_manifest_refused(self, tmp_path):
+        journal = SoakJournal(tmp_path / "j")
+        journal.initialize(SoakConfig(steps=10))
+        text = journal.manifest_path.read_text(encoding="utf-8")
+        journal.manifest_path.write_text(text[: len(text) // 2], encoding="utf-8")
+        with pytest.raises(ReproError, match="manifest"):
+            journal.validate(SoakConfig(steps=10))
+
     def test_torn_final_line_is_dropped(self, tmp_path):
         journal = SoakJournal(tmp_path / "j")
         journal.initialize(SoakConfig(steps=10))

@@ -7,13 +7,19 @@ from pathlib import Path
 import pytest
 
 from repro.bench.trajectory import (
-    compare_files,
+    SNAPSHOT_VERSION,
+    WRITERS,
     compare_payloads,
     extract_points,
+    regenerate_payload,
     render_report,
+    time_paths,
 )
 from repro.cli import main
 from repro.errors import ReproError
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_SNAPSHOTS = sorted(REPO_ROOT.glob("BENCH_*.json"))
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -22,29 +28,37 @@ def run_cli(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def e9_payload(speedup: float = 40.0, checksum: str = "abc") -> dict:
+def envelope(experiment: str, params=None, **series) -> dict:
     return {
-        "experiment": "E9",
-        "kernel_speedup": [
-            {"atoms": 10, "operator": "dalal", "pairs": 3,
-             "speedup": speedup, "checksum": checksum},
-            {"atoms": 12, "operator": "dalal", "pairs": 3,
-             "speedup": 2 * speedup, "checksum": "def"},
-        ],
-        "operator_sweep": [{"atoms": 10, "operator": "dalal", "seconds": 0.1}],
+        "version": SNAPSHOT_VERSION,
+        "experiment": experiment,
+        "params": {} if params is None else params,
+        **series,
     }
+
+
+def e9_payload(speedup: float = 40.0, checksum: str = "abc") -> dict:
+    return envelope(
+        "E9",
+        {"atom_counts": [10, 12], "pairs": 3},
+        kernel_speedup=[
+            {"key": "atoms=10 operator=dalal", "atoms": 10, "operator": "dalal",
+             "pairs": 3, "speedup": speedup, "checksum": checksum},
+            {"key": "atoms=12 operator=dalal", "atoms": 12, "operator": "dalal",
+             "pairs": 3, "speedup": 2 * speedup, "checksum": "def"},
+        ],
+        operator_sweep=[{"atoms": 10, "operator": "dalal", "seconds": 0.1}],
+    )
 
 
 def e4_payload() -> dict:
-    return {
-        "experiment": "E4-weighted",
-        "fitting_speedup": [
-            {"atoms": 10, "workload": "dense", "pairs": 3, "speedup": 450.0}
+    return envelope(
+        "E4-weighted",
+        fitting_speedup=[
+            {"key": "atoms=10 workload=dense", "speedup": 450.0}
         ],
-        "merge_speedup": [
-            {"atoms": 10, "workload": "dense", "sources": 4, "speedup": 300.0}
-        ],
-    }
+        merge_speedup=[{"key": "atoms=10 workload=dense", "speedup": 300.0}],
+    )
 
 
 class TestExtractPoints:
@@ -61,22 +75,23 @@ class TestExtractPoints:
         }
 
     def test_e7_rows(self):
-        payload = {
-            "experiment": "E7-audit",
-            "rows": [{"atoms": 2, "jobs": 4, "speedup": 3.8}],
-        }
+        payload = envelope(
+            "E7-audit", rows=[{"key": "atoms=2 jobs=4", "atoms": 2, "speedup": 3.8}]
+        )
         [point] = extract_points(payload)
         assert point.key == "atoms=2 jobs=4"
         assert point.checksum is None
 
     def test_shm_combines_warmup_and_audit(self):
-        payload = {
-            "experiment": "shm",
-            "warmup": [{"atoms": 12, "repeats": 3, "speedup": 15.0}],
-            "audit": [
-                {"atoms": 12, "jobs": 4, "speedup": 1.3, "checksum": "abc"}
+        payload = envelope(
+            "shm",
+            cpu_count=2,
+            warmup=[{"key": "atoms=12", "repeats": 3, "speedup": 15.0}],
+            audit=[
+                {"key": "atoms=12 jobs=4", "jobs": 4, "speedup": 1.3,
+                 "checksum": "abc"}
             ],
-        }
+        )
         points = extract_points(payload)
         assert {point.series for point in points} == {"warmup", "audit"}
         by_series = {point.series: point for point in points}
@@ -86,33 +101,93 @@ class TestExtractPoints:
         assert by_series["audit"].checksum == "abc"
 
     def test_serve_rows(self):
-        payload = {
-            "experiment": "serve",
-            "load": [
+        payload = envelope(
+            "serve",
+            load=[
                 {
+                    "key": "atoms=4 clients=8",
                     "atoms": 4,
                     "clients": 8,
                     "speedup": 0.21,
                     "checksum": "deadbeef",
                 }
             ],
-        }
+        )
         [point] = extract_points(payload)
         assert point.series == "load"
         assert point.key == "atoms=4 clients=8"
         assert point.checksum == "deadbeef"
 
-    def test_committed_serve_baseline_parses(self):
-        with open("BENCH_serve.json", encoding="utf-8") as handle:
-            payload = json.load(handle)
-        points = extract_points(payload)
-        assert len(points) == 3
-        assert all(point.checksum for point in points)
-        assert all(point.speedup > 0 for point in points)
+    def test_keyless_speedup_row_rejected(self):
+        payload = e9_payload()
+        del payload["kernel_speedup"][1]["key"]
+        with pytest.raises(ReproError, match="no key"):
+            extract_points(payload)
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ReproError):
             extract_points({"experiment": "E99"})
+
+    def test_unsupported_version_rejected(self):
+        payload = e9_payload()
+        payload["version"] = SNAPSHOT_VERSION + 1
+        with pytest.raises(ReproError, match="version"):
+            extract_points(payload)
+
+
+class TestRegeneratePayload:
+    def test_calls_registered_writer_with_baseline_params(self, monkeypatch):
+        calls = []
+
+        def recording_writer(path, **params):
+            calls.append((path, params))
+            return {"recorded": True}
+
+        monkeypatch.setitem(WRITERS, "E9", recording_writer)
+        baseline = e9_payload()
+        assert regenerate_payload(baseline) == {"recorded": True}
+        [(path, params)] = calls
+        assert isinstance(path, str)
+        assert params == baseline["params"]
+
+    def test_refuses_unregistered_experiment_and_missing_params(
+        self, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setitem(
+            WRITERS, "E9", lambda path, **params: calls.append(params)
+        )
+        with pytest.raises(ReproError, match="unknown"):
+            regenerate_payload(envelope("E99"))
+        missing = e9_payload()
+        del missing["params"]
+        with pytest.raises(ReproError, match="params"):
+            regenerate_payload(missing)
+        assert calls == []
+
+
+class TestTimePaths:
+    def test_row_fields(self):
+        row = time_paths(
+            ("scalar", lambda: 3),
+            ("vectorized", lambda: 3),
+            checksum=lambda total: total,
+            what="toy",
+        )
+        assert set(row) == {
+            "scalar_seconds", "vectorized_seconds", "speedup", "checksum"
+        }
+        assert row["checksum"] == 3
+        assert row["speedup"] > 0
+
+    def test_differing_checksums_refused(self):
+        with pytest.raises(ReproError, match="legacy/dense checksum mismatch"):
+            time_paths(
+                ("legacy", lambda: [1]),
+                ("dense", lambda: [2]),
+                checksum=str,
+                what="toy",
+            )
 
 
 class TestComparePayloads:
@@ -138,17 +213,11 @@ class TestComparePayloads:
         assert not report.ok
         assert report.issues[0].kind == "missing"
 
-    def test_allow_missing_tolerates_dropped_rows(self):
-        fresh = e9_payload()
-        fresh["kernel_speedup"] = fresh["kernel_speedup"][:1]
-        report = compare_payloads(e9_payload(), fresh, allow_missing=True)
-        assert report.ok
-        assert report.compared == 1
-
     def test_extra_fresh_rows_are_fine(self):
         fresh = e9_payload()
         fresh["kernel_speedup"].append(
-            {"atoms": 14, "operator": "dalal", "pairs": 3, "speedup": 9.0}
+            {"key": "atoms=14 operator=dalal", "atoms": 14, "operator": "dalal",
+             "pairs": 3, "speedup": 9.0}
         )
         assert compare_payloads(e9_payload(), fresh).ok
 
@@ -175,16 +244,6 @@ class TestComparePayloads:
         assert "regression" in text
 
 
-class TestCompareFiles:
-    def test_round_trip_through_disk(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        fresh = tmp_path / "fresh.json"
-        baseline.write_text(json.dumps(e9_payload()))
-        fresh.write_text(json.dumps(e9_payload(1.0)))
-        report = compare_files(str(baseline), str(fresh))
-        assert not report.ok
-
-
 class TestTrajectoryCli:
     def test_matching_payload_exits_zero(self, tmp_path):
         baseline = tmp_path / "baseline.json"
@@ -206,27 +265,41 @@ class TestTrajectoryCli:
         assert code == 1
         assert "TRAJECTORY REGRESSED" in text
 
-    def test_committed_baseline_against_itself(self):
-        snapshot = str(Path(__file__).resolve().parent.parent / "BENCH_e9.json")
-        code, text = run_cli(
-            "trajectory", "--baseline", snapshot, "--fresh", snapshot
-        )
-        assert code == 0
-        assert "TRAJECTORY OK" in text
-
-    def test_committed_shm_baseline_against_itself(self):
-        snapshot = str(
-            Path(__file__).resolve().parent.parent / "BENCH_shm.json"
-        )
-        code, text = run_cli(
-            "trajectory", "--baseline", snapshot, "--fresh", snapshot
-        )
-        assert code == 0
-        assert "TRAJECTORY OK" in text
-
     def test_fresh_count_must_match_baselines(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(e9_payload()))
         code, _ = run_cli("trajectory", "--baseline", str(baseline))
         assert code == 2
         assert "--fresh" in capsys.readouterr().err
+
+
+class TestCommittedSnapshots:
+    def test_every_registered_experiment_has_a_snapshot(self):
+        experiments = [
+            json.loads(path.read_text(encoding="utf-8"))["experiment"]
+            for path in COMMITTED_SNAPSHOTS
+        ]
+        assert sorted(experiments) == sorted(WRITERS)
+
+    @pytest.mark.parametrize(
+        "snapshot", COMMITTED_SNAPSHOTS, ids=lambda path: path.name
+    )
+    def test_envelope_and_self_gate(self, snapshot):
+        payload = json.loads(snapshot.read_text(encoding="utf-8"))
+        assert payload["version"] == SNAPSHOT_VERSION
+        assert isinstance(payload["params"], dict)
+        assert payload["experiment"] in WRITERS
+        speedup_rows = [
+            row
+            for rows in payload.values()
+            if isinstance(rows, list)
+            for row in rows
+            if isinstance(row, dict) and "speedup" in row
+        ]
+        assert speedup_rows
+        assert all("key" in row for row in speedup_rows)
+        code, text = run_cli(
+            "trajectory", "--baseline", str(snapshot), "--fresh", str(snapshot)
+        )
+        assert code == 0
+        assert "TRAJECTORY OK" in text
