@@ -21,7 +21,7 @@ from repro.core.fitting import ModelFittingOperator, ReveszFitting
 from repro.errors import ReproError, VocabularyError
 from repro.logic.enumeration import form_formula, models
 from repro.logic.interpretation import Vocabulary
-from repro.logic.parser import parse
+from repro.logic.parser import as_formula
 from repro.logic.semantics import ModelSet
 from repro.logic.syntax import Formula, disjoin
 from repro.operators.base import TheoryChangeOperator
@@ -31,12 +31,6 @@ from repro.operators.update import WinslettUpdate
 __all__ = ["ChangeRecord", "KnowledgeBase"]
 
 FormulaLike = Union[str, Formula]
-
-
-def _as_formula(source: FormulaLike) -> Formula:
-    if isinstance(source, str):
-        return parse(source)
-    return source
 
 
 @dataclass(frozen=True)
@@ -88,10 +82,16 @@ class KnowledgeBase:
         _models: Optional[ModelSet] = None,
         _history: tuple[ChangeRecord, ...] = (),
     ):
-        formula = _as_formula(source)
-        constraint_formula = (
-            _as_formula(constraints) if constraints is not None else None
-        )
+        if _models is None:
+            formula = as_formula(source)
+            constraint_formula = (
+                as_formula(constraints) if constraints is not None else None
+            )
+        else:
+            # An internal rebuild (a change step or a snapshot load): the
+            # source is form(_models) and the constraints were checked
+            # when they first arrived, so nothing here is outside input.
+            formula, constraint_formula = source, constraints
         if atoms is not None:
             vocabulary = Vocabulary(atoms)
         elif _models is not None:
@@ -166,12 +166,12 @@ class KnowledgeBase:
 
     def entails(self, query: FormulaLike) -> bool:
         """Whether every model of the knowledge base satisfies ``query``."""
-        query_models = models(_as_formula(query), self._vocabulary)
+        query_models = models(as_formula(query), self._vocabulary)
         return self._models.issubset(query_models)
 
     def consistent_with(self, other: FormulaLike) -> bool:
         """Whether the knowledge base has a model satisfying ``other``."""
-        other_models = models(_as_formula(other), self._vocabulary)
+        other_models = models(as_formula(other), self._vocabulary)
         return not self._models.intersection(other_models).is_empty
 
     # -- theory change -----------------------------------------------------------
@@ -211,15 +211,15 @@ class KnowledgeBase:
 
     def revise(self, new_information: FormulaLike) -> "KnowledgeBase":
         """AGM/KM revision: the new information is more reliable."""
-        return self._changed("revise", self._revision, _as_formula(new_information))
+        return self._changed("revise", self._revision, as_formula(new_information))
 
     def update(self, new_information: FormulaLike) -> "KnowledgeBase":
         """KM update: the new information is more recent."""
-        return self._changed("update", self._update, _as_formula(new_information))
+        return self._changed("update", self._update, as_formula(new_information))
 
     def fit(self, new_information: FormulaLike) -> "KnowledgeBase":
         """Model-fitting ``ψ ▷ μ``: pick μ's models overall closest to ψ."""
-        return self._changed("fit", self._fitting, _as_formula(new_information))
+        return self._changed("fit", self._fitting, as_formula(new_information))
 
     def arbitrate(self, new_information: FormulaLike) -> "KnowledgeBase":
         """Arbitration ``ψ Δ φ``: old and new are equal voices.
@@ -231,9 +231,9 @@ class KnowledgeBase:
         if self._constraint_models.is_universe:
             operator: TheoryChangeOperator = ArbitrationOperator(self._fitting)
             return self._changed(
-                "arbitrate", operator, _as_formula(new_information)
+                "arbitrate", operator, as_formula(new_information)
             )
-        incoming = _as_formula(new_information)
+        incoming = as_formula(new_information)
         union = self._models.union(models(incoming, self._vocabulary))
         after = self._fitting.apply_models(union, self._constraint_models)
         return self._record(
@@ -251,7 +251,7 @@ class KnowledgeBase:
         """
         if not sources:
             raise ReproError("merge requires at least one source")
-        parsed = [_as_formula(source) for source in sources]
+        parsed = [as_formula(source) for source in sources]
         union = self._models
         for formula in parsed:
             union = union.union(models(formula, self._vocabulary))
@@ -271,7 +271,7 @@ class KnowledgeBase:
         from repro.operators.contraction import ContractionOperator
 
         operator = ContractionOperator(self._revision)
-        return self._changed("contract", operator, _as_formula(retracted))
+        return self._changed("contract", operator, as_formula(retracted))
 
     def erase(self, retracted: FormulaLike) -> "KnowledgeBase":
         """Make ``retracted`` no longer necessarily true (erasure over the
@@ -279,7 +279,7 @@ class KnowledgeBase:
         from repro.operators.contraction import ErasureOperator
 
         operator = ErasureOperator(self._update)
-        return self._changed("erase", operator, _as_formula(retracted))
+        return self._changed("erase", operator, as_formula(retracted))
 
     # -- query answering -----------------------------------------------------
 
@@ -287,7 +287,7 @@ class KnowledgeBase:
         """Three-valued query answer: ``"yes"`` when the knowledge base
         entails the query, ``"no"`` when it entails its negation,
         ``"unknown"`` otherwise."""
-        query_models = models(_as_formula(query), self._vocabulary)
+        query_models = models(as_formula(query), self._vocabulary)
         if self._models.issubset(query_models):
             return "yes"
         if self._models.intersection(query_models).is_empty:

@@ -27,7 +27,7 @@ from repro.distances.base import HammingDistance
 from repro.errors import VocabularyError
 from repro.logic.enumeration import form_formula, models
 from repro.logic.interpretation import Vocabulary
-from repro.logic.parser import parse
+from repro.logic.parser import as_formula
 from repro.logic.semantics import ModelSet
 from repro.logic.syntax import Formula
 
@@ -120,7 +120,7 @@ class MergeSession:
         self, name: str, formula: FormulaLike, weight: int | Fraction = 1
     ) -> None:
         """Register a source; ``weight`` only matters for weighted merges."""
-        parsed = parse(formula) if isinstance(formula, str) else formula
+        parsed = as_formula(formula)
         missing = parsed.atoms() - set(self._vocabulary.atoms)
         if missing:
             raise VocabularyError(

@@ -160,7 +160,7 @@ def save_json_snapshot(path: str, payload: dict[str, Any]) -> None:
 
 
 def load_json_snapshot(path: str, what: str = "snapshot") -> dict[str, Any]:
-    """Load a snapshot written by :func:`save_json_snapshot`.
+    """Load a JSON snapshot, indented (:func:`save_json_snapshot`) or compact.
 
     A torn or partial file — possible only for snapshots written without
     :func:`atomic_write_text` (e.g. hand-copied) — is *refused* with a

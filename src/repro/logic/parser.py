@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.logic.syntax import (
     BOTTOM,
     TOP,
@@ -39,9 +39,20 @@ from repro.logic.syntax import (
     Xor,
     conjoin,
     disjoin,
+    formula_depth,
 )
 
-__all__ = ["parse"]
+__all__ = ["MAX_FORMULA_DEPTH", "as_formula", "parse"]
+
+#: Deepest syntax tree :func:`as_formula` accepts.  The printer, the
+#: evaluator and the parser itself recurse once or more per level (a
+#: parenthesis costs the parser seven frames), and a formula is printed
+#: into snapshots and parsed again on load, so the cap keeps every one of
+#: them far inside CPython's default recursion limit of 1000.  A stored
+#: formula may be one level deeper than the cap (a merge records the
+#: disjunction of its sources), so :func:`parse`, which the snapshot
+#: loader calls, applies no cap of its own.
+MAX_FORMULA_DEPTH = 64
 
 _TOKEN_PATTERN = re.compile(
     r"""
@@ -196,6 +207,33 @@ def parse(text: str) -> Formula:
     """Parse ``text`` into a :class:`~repro.logic.syntax.Formula`.
 
     Raises :class:`~repro.errors.ParseError` with the offending position on
-    malformed input.
+    malformed input, and without one when the text is nested too deeply
+    for the parser's recursion.  Outside input should go through
+    :func:`as_formula`, which also caps the depth of the tree.
     """
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("formula nested too deeply", text) from None
+
+
+def as_formula(source: str | Formula) -> Formula:
+    """Parse a string and pass a :class:`Formula` through; refuse the rest.
+
+    This is where formulas arrive from JSON bodies, the shell and the
+    Python API, so anything else (a number, ``None``, a list) is a
+    :class:`~repro.errors.ReproError` here rather than an ``AttributeError``
+    deep inside an operator, and so is a syntax tree deeper than
+    :data:`MAX_FORMULA_DEPTH`.
+    """
+    if isinstance(source, str):
+        formula = parse(source)
+    elif isinstance(source, Formula):
+        formula = source
+    else:
+        raise ReproError(f"expected a formula string, got {type(source).__name__}")
+    if formula_depth(formula) > MAX_FORMULA_DEPTH:
+        raise ReproError(
+            f"formula nested too deeply (more than {MAX_FORMULA_DEPTH} levels)"
+        )
+    return formula

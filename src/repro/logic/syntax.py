@@ -381,11 +381,17 @@ def formula_size(formula: Formula) -> int:
 
 
 def formula_depth(formula: Formula) -> int:
-    """Height of the syntax tree; atoms and constants have depth 1."""
-    children = formula.children()
-    if not children:
-        return 1
-    return 1 + max(formula_depth(child) for child in children)
+    """Height of the syntax tree; atoms and constants have depth 1.
+
+    Walks level by level rather than recursing, so it also measures trees
+    too deep for the recursive printer and evaluator.
+    """
+    depth = 0
+    level = [formula]
+    while level:
+        depth += 1
+        level = [child for node in level for child in node.children()]
+    return depth
 
 
 def _rebuild(formula: Formula, new_children: tuple[Formula, ...]) -> Formula:

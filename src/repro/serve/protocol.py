@@ -100,8 +100,10 @@ class HttpRequest:
             return {}
         try:
             data = json.loads(self.body)
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # also bad UTF-8 and over-long integers
             raise ProtocolError(f"request body is not valid JSON: {error}")
+        except RecursionError:
+            raise ProtocolError("request body is nested too deeply")
         if not isinstance(data, dict):
             raise ProtocolError("request body must be a JSON object")
         return data

@@ -53,6 +53,7 @@ from repro.session import (
     WeightedSession,
     default_registry,
 )
+from repro.session.session import validate_session_id
 
 __all__ = ["ServeConfig", "ArbitrationServer", "run_server"]
 
@@ -74,7 +75,7 @@ def _as_weight(value: Any) -> Optional[int]:
     """Coerce a client-supplied weight to ``int``; ``None`` if malformed."""
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: 1e999
         return None
 
 
@@ -462,6 +463,7 @@ class ArbitrationServer:
         session_id = body.get("id")
         if not session_id:
             return 400, {"ok": False, "error": "create needs an 'id'"}
+        validate_session_id(session_id)  # before hashing it below
         atoms = body.get("atoms")
         if not atoms or not isinstance(atoms, list):
             return 400, {"ok": False, "error": "create needs a non-empty 'atoms' list"}
@@ -605,9 +607,15 @@ class ArbitrationServer:
     def _snapshot(self, session) -> None:
         if self.store is None:
             return
+        started = time.perf_counter()
         self.store.save(session)
         registry = obs.active()
         if registry is not None:
+            # A histogram, not a span: traced benchmark runs budget two
+            # server spans per request against the span ring.
+            registry.histogram("serve.stage.snapshot_seconds").observe(
+                time.perf_counter() - started
+            )
             registry.counter("serve.snapshots_written").inc()
 
 

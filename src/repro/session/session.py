@@ -30,7 +30,7 @@ from repro.core.weighted import (
 from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.logic.enumeration import models
-from repro.logic.parser import parse
+from repro.logic.parser import as_formula
 from repro.logic.syntax import Formula
 from repro.operators.base import TheoryChangeOperator
 from repro.operators.revision import (
@@ -83,7 +83,7 @@ _SESSION_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
 def operator_by_name(name: str) -> TheoryChangeOperator:
     """Instantiate a dispatchable operator by its short name."""
-    factory = OPERATOR_FACTORIES.get(name)
+    factory = OPERATOR_FACTORIES.get(name) if isinstance(name, str) else None
     if factory is None:
         raise ReproError(
             f"unknown operator {name!r}; known: {sorted(OPERATOR_FACTORIES)}"
@@ -99,10 +99,6 @@ def validate_session_id(session_id: str) -> str:
             "[A-Za-z0-9._-] not starting with a dot or dash"
         )
     return session_id
-
-
-def _as_formula(source: FormulaLike) -> Formula:
-    return parse(source) if isinstance(source, str) else source
 
 
 class _ContextOperator(TheoryChangeOperator):
@@ -174,6 +170,11 @@ class Session:
         ensure_impl(impl)
         self._impl = impl
         self._registry = registry if registry is not None else default_registry()
+        if operators is not None and not isinstance(operators, Mapping):
+            raise ReproError(
+                "operators must map roles to operator names, "
+                f"got {type(operators).__name__}"
+            )
         names = dict(DEFAULT_OPERATOR_NAMES)
         names.update(operators or {})
         unknown = set(names) - set(DEFAULT_OPERATOR_NAMES)
@@ -336,7 +337,7 @@ class WeightedSession:
             self._wkb = _wkb
         else:
             self._wkb = WeightedKnowledgeBase.from_formula(
-                _as_formula(formula), self._vocabulary, weight=weight
+                as_formula(formula), self._vocabulary, weight=weight
             )
         self._fitting = WeightedModelFitting()
         self._arbitration = WeightedArbitration(self._fitting)
@@ -366,7 +367,7 @@ class WeightedSession:
 
     def _incoming(self, formula: FormulaLike, weight: int) -> WeightedKnowledgeBase:
         return WeightedKnowledgeBase.from_formula(
-            _as_formula(formula), self._vocabulary, weight=weight
+            as_formula(formula), self._vocabulary, weight=weight
         )
 
     def fit(self, formula: FormulaLike, weight: int = 1) -> WeightedKnowledgeBase:
@@ -406,7 +407,7 @@ class WeightedSession:
     def ask(self, query: FormulaLike) -> str:
         """Three-valued entailment over the support of the weighted base."""
         support = self._wkb.support()
-        query_models = models(_as_formula(query), self._vocabulary)
+        query_models = models(as_formula(query), self._vocabulary)
         if support.issubset(query_models):
             return "yes"
         if support.intersection(query_models).is_empty:

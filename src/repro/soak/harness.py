@@ -32,7 +32,7 @@ from repro import obs
 from repro.core.fitting import ReveszFitting
 from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.serialize import knowledge_base_from_json, knowledge_base_to_json
+from repro.kb.serialize import knowledge_base_from_dict, knowledge_base_to_dict
 from repro.logic.enumeration import form_formula, models
 from repro.logic.semantics import ModelSet
 from repro.operators.revision import DalalRevision
@@ -178,8 +178,8 @@ def run_soak(
             record = journal.last_record()
             if record is not None:
                 generator.setstate(decode_rng_state(record["rng_state"]))
-                kb = knowledge_base_from_json(
-                    json.dumps(record["kb"]),
+                kb = knowledge_base_from_dict(
+                    record["kb"],
                     revision=revision,
                     update=update,
                     fitting=fitting,
@@ -237,7 +237,7 @@ def run_soak(
                     "ordinal": chunk_ordinal,
                     "step": step_index,
                     "rng_state": encode_rng_state(generator.getstate()),
-                    "kb": json.loads(knowledge_base_to_json(kb)),
+                    "kb": knowledge_base_to_dict(kb),
                     "window": invariants.window_masks(),
                     "ledger": invariants.ledger.to_dict(),
                     "state_digest": state_digest(kb),

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given
 
-from repro.errors import ParseError
+from repro.errors import ParseError, ReproError
 from repro.logic.enumeration import equivalent
 from repro.logic.interpretation import Vocabulary
-from repro.logic.parser import parse
+from repro.logic.parser import MAX_FORMULA_DEPTH, as_formula, parse
 from repro.logic.syntax import (
     BOTTOM,
     TOP,
@@ -17,6 +17,8 @@ from repro.logic.syntax import (
     Not,
     Or,
     Xor,
+    disjoin,
+    formula_depth,
 )
 
 from _strategies import formulas
@@ -142,6 +144,62 @@ class TestErrors:
     def test_keyword_cannot_be_atom(self):
         with pytest.raises(ParseError):
             parse("not")  # negation with nothing to negate
+
+
+DEEP_TEXTS = {
+    "parentheses": "(" * 300 + "a" + ")" * 300,
+    "negations": "!" * 1000 + "a",
+    "xor-chain": " ^ ".join(["a"] * 1500),
+    "implication-chain": " -> ".join(["a"] * 1500),
+}
+
+
+class TestNestingLimit:
+    # a left-nested xor chain is built in a loop, so only as_formula stops it
+    @pytest.mark.parametrize("key", ["parentheses", "negations", "implication-chain"])
+    def test_too_deep_for_the_parser_is_a_parse_error(self, key):
+        with pytest.raises(ParseError, match="formula nested too deeply"):
+            parse(DEEP_TEXTS[key])
+
+    @pytest.mark.parametrize("text", DEEP_TEXTS.values(), ids=DEEP_TEXTS.keys())
+    def test_as_formula_refuses_too_deep_text(self, text):
+        with pytest.raises(ReproError, match="nested too deeply"):
+            as_formula(text)
+
+    def test_as_formula_refuses_too_deep_formula_objects(self):
+        formula = Atom("a")
+        for _ in range(MAX_FORMULA_DEPTH):
+            formula = Not(formula)
+        with pytest.raises(ReproError, match="nested too deeply"):
+            as_formula(formula)
+
+    def test_limit_is_on_tree_depth(self):
+        deepest = "!" * (MAX_FORMULA_DEPTH - 1) + "a"
+        assert formula_depth(as_formula(deepest)) == MAX_FORMULA_DEPTH
+        with pytest.raises(ReproError, match="nested too deeply"):
+            as_formula("!" + deepest)
+
+    def test_deepest_stored_formula_prints_and_reparses(self):
+        # snapshots store formulas as printed text and the loader parses
+        # them with parse(); a merge records the disjunction of sources
+        # that each reach the cap, one level deeper than as_formula allows.
+        # The printer parenthesizes every level of a left-nested xor chain.
+        chain = as_formula(" ^ ".join(["a"] * MAX_FORMULA_DEPTH))
+        record = disjoin([chain, Atom("b")])
+        assert formula_depth(record) == MAX_FORMULA_DEPTH + 1
+        assert parse(str(record)) == record
+
+
+class TestAsFormula:
+    def test_parses_strings_and_passes_formulas_through(self):
+        formula = Atom("a") & Atom("b")
+        assert as_formula("a & b") == formula
+        assert as_formula(formula) is formula
+
+    @pytest.mark.parametrize("value", [5, None, [], ["a"], {"x": 1}])
+    def test_refuses_everything_else(self, value):
+        with pytest.raises(ReproError, match="expected a formula string"):
+            as_formula(value)
 
 
 class TestRoundTrip:

@@ -22,12 +22,15 @@ import pytest
 
 from repro import obs
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.serialize import save_json_snapshot
+from repro.logic.parser import MAX_FORMULA_DEPTH
 from repro.serve import (
     ArbitrationServer,
     ServeClient,
     ServeConfig,
     SessionStore,
 )
+from repro.serve.store import SNAPSHOT_VERSION
 from repro.session import ContextRegistry, Session, WeightedSession
 
 
@@ -46,6 +49,28 @@ async def serve(config: ServeConfig | None = None):
 
 def run(coroutine):
     return asyncio.run(coroutine)
+
+
+async def raw_request(server, method: str, path: str, body: bytes):
+    """Send ``body`` verbatim on a fresh connection: ``(status, payload)``.
+
+    ``ServeClient`` can only send what ``json.dumps`` renders; this reaches
+    the bodies it cannot (bad UTF-8, ``1e999``, 100,000-deep arrays).
+    ``(None, None)`` means the server closed without a response.
+    """
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(
+        f"{method} {path} HTTP/1.1\r\nConnection: close\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n".encode("latin-1")
+        + body
+    )
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    if not raw:
+        return None, None
+    head, _, payload = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
 
 
 class TestProtocolErrors:
@@ -269,7 +294,7 @@ class TestSessionEndpoints:
 
         bad_scalar, bad_nested, good = run(main())
         assert bad_scalar[0] == 400
-        assert bad_nested[0] in (400, 500) and bad_nested[1]["ok"] is False
+        assert bad_nested[0] == 400 and bad_nested[1]["ok"] is False
         assert good[0] == 201  # the batcher survived both
 
     def test_malformed_weight_is_400_not_500(self):
@@ -342,6 +367,89 @@ class TestSessionEndpoints:
         assert arb[1]["session"] == direct.state()
         assert revise[0] == 400  # boolean-only verb on a weighted session
         assert ask[1]["answer"] == direct.ask("a")
+
+
+def _create(**fields) -> tuple[str, bytes]:
+    body = {"id": "m", "atoms": ["a"], **fields}
+    return "/v1/sessions", json.dumps(body).encode()
+
+
+def _query(session: str, **fields) -> tuple[str, bytes]:
+    return f"/v1/sessions/{session}/query", json.dumps(fields).encode()
+
+
+NON_STRINGS = {"int": 5, "null": None, "object": {}, "list": ["a"]}
+
+#: Bodies that once answered 500 or closed the connection unanswered.
+#: Sessions ``b`` (Boolean) and ``w`` (weighted) over atoms a, b exist.
+MALFORMED_BODIES = {
+    "non-utf8": ("/v1/sessions", b"\x80abc"),
+    "json-nested-too-deeply": ("/v1/sessions", b"[" * 100_000),
+    "integer-over-4300-digits": ("/v1/sessions", b'{"weight": ' + b"1" * 5000 + b"}"),
+    **{f"create-formula-{k}": _create(formula=v) for k, v in NON_STRINGS.items()},
+    **{
+        f"weighted-create-formula-{k}": _create(weighted=True, formula=v)
+        for k, v in NON_STRINGS.items()
+    },
+    "revise-formula-int": _query("b", op="revise", formula=5),
+    "fit-formula-list": _query("b", op="fit", formula=["a"]),
+    "ask-formula-object": _query("b", op="ask", formula={"x": 1}),
+    "weighted-fit-formula-int": _query("w", op="fit", formula=5),
+    "merge-source-int": _query("b", op="merge", sources=["a", 5]),
+    "merge-source-null": _query("b", op="merge", sources=[None]),
+    "weighted-merge-source-null": _query("w", op="merge", sources=[None]),
+    "operators-string": _create(operators="x"),
+    "operators-list": _create(operators=["x"]),
+    "operator-name-list": _create(operators={"revision": ["x"]}),
+    "id-list": _create(id=["a"]),
+    # json.dumps cannot write 1e999; Python's json.loads reads it as inf
+    "weighted-create-weight-inf": (
+        "/v1/sessions",
+        b'{"id": "m", "atoms": ["a"], "weighted": true, "weight": 1e999}',
+    ),
+    "weighted-fit-weight-inf": (
+        "/v1/sessions/w/query",
+        b'{"op": "fit", "formula": "a", "weight": 1e999}',
+    ),
+    "weighted-merge-weight-inf": (
+        "/v1/sessions/w/query",
+        b'{"op": "merge", "sources": ["a"], "weights": [1e999]}',
+    ),
+    "formula-parentheses-300-deep": _query(
+        "b", op="revise", formula="(" * 300 + "a" + ")" * 300
+    ),
+    "formula-negations-1000-deep": _query("b", op="revise", formula="!" * 1000 + "a"),
+    "formula-xor-chain-1500-long": _query(
+        "b", op="ask", formula=" ^ ".join(["a"] * 1500)
+    ),
+}
+
+
+class TestMalformedBodies:
+    @pytest.mark.parametrize(
+        "path, body", MALFORMED_BODIES.values(), ids=MALFORMED_BODIES.keys()
+    )
+    def test_malformed_body_is_400_and_server_keeps_serving(self, path, body):
+        async def main():
+            async with serve() as (server, client):
+                await client.request(
+                    "POST", "/v1/sessions", {"id": "b", "atoms": ["a", "b"]}
+                )
+                await client.request(
+                    "POST",
+                    "/v1/sessions",
+                    {"id": "w", "atoms": ["a", "b"], "weighted": True},
+                )
+                bad = await raw_request(server, "POST", path, body)
+                good = await client.request(
+                    "POST", "/v1/sessions/b/query", {"op": "revise", "formula": "a"}
+                )
+                return bad, good
+
+        (status, payload), good = run(main())
+        assert status == 400, payload
+        assert payload["ok"] is False
+        assert good[0] == 200 and good[1]["session"]["steps"] == 1
 
 
 class TestBatchingAndAdmission:
@@ -566,6 +674,28 @@ class TestPersistence:
         store.save(store.load("persist", registry=ContextRegistry()))
         assert snapshot_path.read_bytes() == original_bytes
 
+    def test_snapshot_stage_histogram_times_every_save(self, tmp_path):
+        async def main():
+            config = ServeConfig(port=0, store_dir=str(tmp_path / "store"))
+            with obs.use() as registry:
+                async with serve(config) as (_, client):
+                    await client.request(
+                        "POST", "/v1/sessions", {"id": "h", "atoms": ["a", "b"]}
+                    )
+                    for op in ("revise", "update", "ask"):  # ask never saves
+                        await client.request(
+                            "POST",
+                            "/v1/sessions/h/query",
+                            {"op": op, "formula": "a & !b"},
+                        )
+                return registry.snapshot()
+
+        snapshot = run(main())
+        stage = snapshot["histograms"]["serve.stage.snapshot_seconds"]
+        assert stage["count"] == 3
+        assert stage["count"] == snapshot["counters"]["serve.snapshots_written"]
+        assert stage["min"] > 0
+
     def test_mutations_snapshot_and_delete_removes_file(self, tmp_path):
         store_dir = str(tmp_path / "store")
 
@@ -643,6 +773,53 @@ class TestPersistence:
         # snapshot: no divergence between memory, store, and the client
         assert after == before
         assert snapshot["counters"]["serve.snapshot_failures"] == 1
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["boolean", "weighted"])
+    def test_indented_snapshot_loads_and_resaves_compact(self, tmp_path, weighted):
+        if weighted:
+            session = WeightedSession("enc", atoms=["a", "b", "c"], formula="a & b")
+            session.fit("!a", weight=2)
+            session.arbitrate("c", weight=3)
+            session.merge(["a | c", "!b"], weights=[1, 2])
+        else:
+            session = Session(
+                "enc",
+                atoms=["a", "b", "c"],
+                formula="a & b",
+                registry=ContextRegistry(),
+            )
+            session.revise("!a")
+            session.update("c")
+            session.fit("a | !c")
+            session.arbitrate("!b")
+            session.merge(["a", "!c"])
+        store = SessionStore(str(tmp_path))
+        path = Path(store.path_for("enc"))
+        # the indented layout the store wrote before it went compact
+        payload = {"version": SNAPSHOT_VERSION, "kind": "serve-session"}
+        save_json_snapshot(str(path), {**payload, **session.to_payload()})
+        indented = path.read_text()
+
+        loaded = store.load("enc", registry=ContextRegistry())
+        assert loaded.state() == session.state()
+        store.save(loaded)
+        text = path.read_text()
+        compact = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == compact + "\n"
+        assert json.loads(text) == json.loads(indented)  # only whitespace differs
+
+    def test_merge_of_sources_at_the_depth_cap_reloads(self, tmp_path):
+        # each source is as deep as a request may be; the merge record,
+        # their disjunction, is one level deeper and must still load
+        deepest = "!" * (MAX_FORMULA_DEPTH - 1) + "a"
+        session = Session("deep", atoms=["a", "b"], registry=ContextRegistry())
+        session.merge([deepest, "b"])
+        store = SessionStore(str(tmp_path))
+        store.save(session)
+
+        loaded = store.load("deep", registry=ContextRegistry())
+        assert loaded.state() == session.state()
+        assert loaded.kb.history == session.kb.history
 
     def test_torn_snapshot_refused_on_load(self, tmp_path):
         from repro.errors import ReproError

@@ -169,6 +169,12 @@ class TestTraversal:
         assert formula_depth(Atom("a")) == 1
         assert formula_depth(~(Atom("a") & Atom("b"))) == 3
 
+    def test_formula_depth_of_a_tree_deeper_than_the_recursion_limit(self):
+        formula = Atom("a")
+        for _ in range(5000):
+            formula = ~formula
+        assert formula_depth(formula) == 5001
+
 
 class TestSubstitution:
     def test_substitute_atom(self):
