@@ -56,7 +56,7 @@ from repro.logic.enumeration import DpllEngine, TruthTableEngine, models
 from repro.logic.implicants import minimal_formula
 from repro.engine.resilience import DEFAULT_MAX_RETRIES
 from repro.logic.interpretation import Vocabulary
-from repro.logic.parser import parse
+from repro.logic.parser import as_formula
 from repro.postulates.matrix import compute_matrix, render_matrix
 from repro.session import OPERATOR_FACTORIES, context_for, operator_by_name
 from repro.postulates.weighted_axioms import (
@@ -102,7 +102,7 @@ def _print_models(model_set, out) -> None:
 
 
 def _cmd_models(args, out) -> int:
-    formula = parse(args.formula)
+    formula = as_formula(args.formula)
     vocabulary = _vocabulary(args.atoms, formula)
     engine = _ENGINES[args.engine]()
     _print_models(engine.models(formula, vocabulary), out)
@@ -110,7 +110,7 @@ def _cmd_models(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    formula = parse(args.formula)
+    formula = as_formula(args.formula)
     vocabulary = _vocabulary(args.atoms, formula)
     count = BddEngine().count_models(formula, vocabulary)
     print(f"{count} model(s) over {vocabulary.size} atom(s)", file=out)
@@ -118,8 +118,8 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_change(args, out) -> int:
-    psi = parse(args.psi)
-    mu = parse(args.mu)
+    psi = as_formula(args.psi)
+    mu = as_formula(args.mu)
     vocabulary = _vocabulary(args.atoms, psi, mu)
     operator = operator_by_name(args.op)
     # Resolve through the shared session registry: repeated invocations in
@@ -133,8 +133,8 @@ def _cmd_change(args, out) -> int:
 
 
 def _cmd_arbitrate(args, out) -> int:
-    psi = parse(args.psi)
-    phi = parse(args.phi)
+    psi = as_formula(args.psi)
+    phi = as_formula(args.phi)
     vocabulary = _vocabulary(args.atoms, psi, phi)
     if args.weights:
         parts = [int(part) for part in args.weights.split(",")]
@@ -167,7 +167,7 @@ def _cmd_merge(args, out) -> int:
             formula_text, _, weight_text = rest.rpartition(":")
             if weight_text.isdigit():
                 rest, weight = formula_text, int(weight_text)
-        formula = parse(rest)
+        formula = as_formula(rest)
         atom_names |= formula.atoms()
         parsed_sources.append((name, formula, weight))
     atoms = (

@@ -39,6 +39,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
 from repro.distances import kernels
+from repro.logic.bitsets import bits_of_model_set, model_set_of_bits
 from repro.logic.interpretation import Vocabulary, iter_set_bits
 from repro.logic.semantics import ModelSet
 from repro.operators.base import AssignmentOperator, TheoryChangeOperator
@@ -63,19 +64,6 @@ KEY_CACHE_SIZE = 1024
 
 #: Bound on memoized (ψ, μ) → result entries per operator.
 RESULT_CACHE_SIZE = 4096
-
-
-def bits_of_model_set(model_set: ModelSet) -> int:
-    """Pack a model set into a knowledge-base bit-vector."""
-    bits = 0
-    for mask in model_set.masks:
-        bits |= 1 << mask
-    return bits
-
-
-def model_set_of_bits(vocabulary: Vocabulary, bits: int) -> ModelSet:
-    """Unpack a knowledge-base bit-vector into a model set."""
-    return ModelSet(vocabulary, iter_set_bits(bits))
 
 
 def batching_contract(operator: TheoryChangeOperator, vocabulary: Vocabulary):

@@ -1,4 +1,4 @@
-"""Prime implicants and two-level formula minimization (Quine–McCluskey).
+"""Prime implicants and two-level formula minimization.
 
 The paper's canonical ``form(I₁, …, Iₖ)`` output is a disjunction of
 complete cubes — exact but unreadable for more than a few models.  This
@@ -13,14 +13,26 @@ implicant covers every interpretation ``m`` with
 ``m & fixed_mask == value_mask``.  A fixed bit set to 1 means the atom's
 truth value is constrained; unset means "don't care".
 
-Classic Quine–McCluskey is exponential in the worst case, which is fine at
-the paper's scale (the vocabulary is small by construction: the truth-table
-engine itself stops at 22 atoms).
+Up to :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms the primes are
+found on the model set packed into one ``2^n``-bit integer, a few big-int
+operations per cube shape (:func:`repro.logic.bitsets.prime_implicants_of_bits`);
+this is the path every served ``state()`` takes.  Above that cap, where
+the packed integers outgrow small model sets, classic Quine–McCluskey
+merges cubes one bit apart.  Both return the same sorted list, so the
+cover and every printed formula are the same on either path.  Both are
+exponential in the worst case, which is fine at the paper's scale (the
+truth-table engine itself stops at 22 atoms).
 """
 
 from __future__ import annotations
 
 from itertools import groupby
+
+from repro.logic.bitsets import (
+    MAX_BITSET_ATOMS,
+    bits_of_model_set,
+    prime_implicants_of_bits,
+)
 from repro.logic.interpretation import Vocabulary
 from repro.logic.semantics import ModelSet
 from repro.logic.syntax import (
@@ -60,10 +72,20 @@ def prime_implicants(model_set: ModelSet) -> list[Implicant]:
 
     A prime implicant is a maximal cube lying entirely inside the model
     set.  The empty model set has none; the full space has the single
-    empty-constraint implicant ``(0, 0)``.
+    empty-constraint implicant ``(0, 0)``.  Up to
+    :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms the cubes are
+    found shape by shape on the packed set; above it by Quine–McCluskey.
     """
     if model_set.is_empty:
         return []
+    size = model_set.vocabulary.size
+    if size <= MAX_BITSET_ATOMS:
+        return prime_implicants_of_bits(bits_of_model_set(model_set), size)
+    return _quine_mccluskey(model_set)
+
+
+def _quine_mccluskey(model_set: ModelSet) -> list[Implicant]:
+    """Prime implicants by repeatedly merging cubes one bit apart."""
     full_fixed = (1 << model_set.vocabulary.size) - 1
     current: set[Implicant] = {(full_fixed, mask) for mask in model_set.masks}
     primes: set[Implicant] = set()

@@ -30,6 +30,7 @@ from repro.operators.base import (
     OperatorFamily,
     TheoryChangeOperator,
 )
+from repro.operators.update import pointwise_minimal_models
 from repro.orders.cache import DEFAULT_CACHE_SIZE
 from repro.orders.faithful import dalal_assignment
 
@@ -116,16 +117,7 @@ class BorgidaRevision(TheoryChangeOperator):
         both = psi.intersection(mu)
         if not both.is_empty:
             return both
-        chosen: set[int] = set()
-        for psi_mask in psi.masks:
-            diffs = {mu_mask ^ psi_mask for mu_mask in mu.masks}
-            minimal = _minimal_diff_sets(diffs)
-            chosen.update(
-                mu_mask
-                for mu_mask in mu.masks
-                if (mu_mask ^ psi_mask) in minimal
-            )
-        return ModelSet(mu.vocabulary, chosen)
+        return pointwise_minimal_models(psi, mu)
 
 
 class WeberRevision(TheoryChangeOperator):

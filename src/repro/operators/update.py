@@ -19,11 +19,46 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.distances import kernels
 from repro.distances.base import HammingDistance, InterpretationDistance
+from repro.logic.bitsets import (
+    MAX_BITSET_ATOMS,
+    bits_of_model_set,
+    model_set_of_bits,
+    pointwise_minimal,
+)
 from repro.logic.semantics import ModelSet
 from repro.operators.base import OperatorFamily, TheoryChangeOperator
 
-__all__ = ["WinslettUpdate", "ForbusUpdate"]
+__all__ = ["WinslettUpdate", "ForbusUpdate", "pointwise_minimal_models"]
+
+
+def pointwise_minimal_models(psi: ModelSet, mu: ModelSet) -> ModelSet:
+    """``⋃_{J ∈ Mod(ψ)} Min(Mod(μ), ≤J)`` where ``I ≤J I'`` iff
+    ``I Δ J ⊆ I' Δ J`` — Winslett's rule, also Borgida's conflict branch.
+
+    Up to :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms this runs
+    the packed-bitset kernel; above it, per model of ψ, the ⊆-minimal
+    elements of the difference masks.
+    """
+    vocabulary = mu.vocabulary
+    if vocabulary.size <= MAX_BITSET_ATOMS:
+        bits = pointwise_minimal(
+            bits_of_model_set(psi), bits_of_model_set(mu), vocabulary.size
+        )
+        return model_set_of_bits(vocabulary, bits)
+    return _sparse_pointwise_minimal(psi, mu)
+
+
+def _sparse_pointwise_minimal(psi: ModelSet, mu: ModelSet) -> ModelSet:
+    """:func:`pointwise_minimal_models` on the model lists themselves."""
+    chosen: set[int] = set()
+    for psi_mask in psi.masks:
+        minimal = kernels.minimal_subset_masks(
+            mu_mask ^ psi_mask for mu_mask in mu.masks
+        )
+        chosen.update(diff ^ psi_mask for diff in minimal)
+    return ModelSet(mu.vocabulary, chosen)
 
 
 class WinslettUpdate(TheoryChangeOperator):
@@ -38,19 +73,7 @@ class WinslettUpdate(TheoryChangeOperator):
 
     def apply_models(self, psi: ModelSet, mu: ModelSet) -> ModelSet:
         self._check_vocabularies(psi, mu)
-        chosen: set[int] = set()
-        mu_masks = mu.masks
-        for psi_mask in psi.masks:
-            diffs = [(mu_mask ^ psi_mask, mu_mask) for mu_mask in mu_masks]
-            for diff, mu_mask in diffs:
-                dominated = False
-                for other_diff, _ in diffs:
-                    if other_diff != diff and (other_diff & diff) == other_diff:
-                        dominated = True
-                        break
-                if not dominated:
-                    chosen.add(mu_mask)
-        return ModelSet(mu.vocabulary, chosen)
+        return pointwise_minimal_models(psi, mu)
 
 
 class ForbusUpdate(TheoryChangeOperator):

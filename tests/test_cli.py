@@ -89,6 +89,30 @@ class TestMergeCommand:
         assert code == 2
 
 
+#: Parses (the parser folds chains in a loop) but nests 1,499 levels deep.
+XOR_CHAIN = " ^ ".join(["a"] * 1500)
+
+
+class TestNestingCap:
+    """Every one-shot command refuses a formula deeper than the depth cap
+    with exit 2, as ``merge`` does, instead of a ``RecursionError``."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("models", XOR_CHAIN),
+            ("count", XOR_CHAIN),
+            ("change", "--op", "dalal", "a", XOR_CHAIN),
+            ("arbitrate", XOR_CHAIN, "a"),
+        ],
+        ids=["models", "count", "change", "arbitrate"],
+    )
+    def test_too_deep_formula_is_a_clean_error(self, argv, capsys):
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
 class TestAuditCommand:
     def test_matrix_rendered(self):
         code, text = run_cli(

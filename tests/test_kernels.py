@@ -4,16 +4,20 @@ Every kernel carries an exactness contract: not "close", but *identical*
 to the scalar reference path — including IEEE float results from
 :class:`WeightedHammingDistance` (same accumulation order) and exact
 :class:`~fractions.Fraction` keys from ``wdist``.  Hypothesis drives the
-comparison across random vocabularies of 2–12 atoms.
+comparison across random vocabularies of 2–12 atoms.  The packed-bitset
+kernels (Winslett's update, Borgida's conflict branch, prime implicants)
+are held to the scalar loops they replace below 13 atoms, on every size
+from 0 to 13.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from repro.core.fitting import (
     LeximaxFitting,
@@ -28,9 +32,22 @@ from repro.distances.base import (
     HammingDistance,
     WeightedHammingDistance,
 )
-from repro.logic.interpretation import Interpretation, Vocabulary
+from repro.logic.bitsets import (
+    MAX_BITSET_ATOMS,
+    atom_masks,
+    bits_of_model_set,
+    pointwise_minimal,
+    prime_implicants_of_bits,
+    strict_up,
+    translate,
+)
+from repro.logic.enumeration import models
+from repro.logic.implicants import _quine_mccluskey, prime_implicants
+from repro.logic.interpretation import Interpretation, Vocabulary, iter_set_bits
+from repro.logic.random_formulas import random_formula
 from repro.logic.semantics import ModelSet
-from repro.operators.revision import DalalRevision
+from repro.operators.revision import BorgidaRevision, DalalRevision
+from repro.operators.update import WinslettUpdate, _sparse_pointwise_minimal
 
 IMPLS = ["python"] + (["numpy"] if kernels.HAS_NUMPY else [])
 
@@ -255,6 +272,164 @@ class TestDiffKernels:
             )
         }
         assert kernels.minimal_subset_masks(masks) == expected
+
+
+def winslett_reference(psi: ModelSet, mu: ModelSet) -> set[int]:
+    """Winslett's update as the pairwise loop it was first written as:
+    per ψ-model, keep the μ-models whose difference from it no other
+    μ-model's difference strictly contains — O(|ψ|·|μ|²)."""
+    chosen: set[int] = set()
+    for psi_mask in psi.masks:
+        diffs = [(mu_mask ^ psi_mask, mu_mask) for mu_mask in mu.masks]
+        for diff, mu_mask in diffs:
+            if not any(other != diff and (other & diff) == other for other, _ in diffs):
+                chosen.add(mu_mask)
+    return chosen
+
+
+def borgida_reference(psi: ModelSet, mu: ModelSet) -> set[int]:
+    """Borgida's revision: μ on an empty ψ, ψ ∧ μ when consistent, else
+    Winslett's per-model change."""
+    if psi.is_empty:
+        return set(mu.masks)
+    both = set(psi.masks) & set(mu.masks)
+    return both if both else winslett_reference(psi, mu)
+
+
+def _vocabulary_of(size: int) -> Vocabulary:
+    return Vocabulary([f"p{index}" for index in range(size)])
+
+
+def model_sets_over(size: int, formula_atoms: int = 6) -> st.SearchStrategy[ModelSet]:
+    """Seeded samples of up to 64 models (every subset size below 7
+    atoms), and up to ``formula_atoms`` atoms also the structured model
+    sets of random depth-3 formulas."""
+    vocabulary = _vocabulary_of(size)
+    total = vocabulary.interpretation_count
+
+    def sample(seed: int, count: int) -> ModelSet:
+        masks = random.Random(seed).sample(range(total), min(count, total))
+        return ModelSet(vocabulary, masks)
+
+    def formula_models(seed: int) -> ModelSet:
+        return models(random_formula(vocabulary, 3, seed), vocabulary)
+
+    seeds = st.integers(0, 2**32 - 1)
+    choices = [st.builds(sample, seeds, st.integers(0, 64))]
+    if 0 < size <= formula_atoms:
+        choices.append(seeds.map(formula_models))
+    return st.one_of(choices)
+
+
+#: Every vocabulary size on the bitset side of the cap.
+BITSET_SIZES = range(MAX_BITSET_ATOMS + 1)
+#: 0 atoms, small, at the cap, and one past it (the sparse paths).
+EDGE_SIZES = [0, 1, 3, 8, MAX_BITSET_ATOMS, MAX_BITSET_ATOMS + 1]
+
+
+def _some_models(vocabulary: Vocabulary) -> ModelSet:
+    """About twenty evenly spread models (all of them below 5 atoms)."""
+    total = vocabulary.interpretation_count
+    return ModelSet(vocabulary, range(0, total, max(1, total // 20)))
+
+
+class TestBitsetKernels:
+    """The packed-bitset kernels against their scalar references, on both
+    sides of :data:`MAX_BITSET_ATOMS`."""
+
+    @pytest.mark.parametrize("size", BITSET_SIZES)
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_winslett_matches_pairwise_loop(self, size, data):
+        psi = data.draw(model_sets_over(size))
+        mu = data.draw(model_sets_over(size))
+        expected = winslett_reference(psi, mu)
+        assert set(WinslettUpdate().apply_models(psi, mu).masks) == expected
+        assert set(_sparse_pointwise_minimal(psi, mu).masks) == expected
+
+    @pytest.mark.parametrize("size", BITSET_SIZES)
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_borgida_matches_reference(self, size, data):
+        psi = data.draw(model_sets_over(size))
+        mu = data.draw(model_sets_over(size))
+        expected = borgida_reference(psi, mu)
+        assert set(BorgidaRevision().apply_models(psi, mu).masks) == expected
+
+    @pytest.mark.parametrize("size", BITSET_SIZES)
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_prime_implicants_match_quine_mccluskey(self, size, data):
+        model_set = data.draw(model_sets_over(size, formula_atoms=9))
+        assert prime_implicants(model_set) == _quine_mccluskey(model_set)
+
+    @pytest.mark.parametrize("size", [0, 1, 4, 8])
+    @given(data=st.data())
+    def test_primitives_match_set_comprehensions(self, size, data):
+        model_set = data.draw(model_sets_over(size))
+        other = data.draw(model_sets_over(size))
+        masks = atom_masks(size)
+        bits = bits_of_model_set(model_set)
+        for by in other.masks[:4]:
+            expected = {mask ^ by for mask in model_set.masks}
+            assert set(iter_set_bits(translate(bits, by, masks))) == expected
+        expected_up = {
+            mask
+            for mask in range(1 << size)
+            if any(member != mask and member & mask == member for member in model_set.masks)
+        }
+        assert set(iter_set_bits(strict_up(bits, masks))) == expected_up
+
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    @pytest.mark.parametrize(
+        "shape", ["empty-psi", "empty-mu", "psi-inside-mu", "single-model"]
+    )
+    def test_edge_cases(self, size, shape):
+        vocabulary = _vocabulary_of(size)
+        some = _some_models(vocabulary)
+        single = ModelSet(vocabulary, [vocabulary.interpretation_count - 1])
+        empty = ModelSet.empty(vocabulary)
+        psi, mu = {
+            "empty-psi": (empty, some),
+            "empty-mu": (some, empty),
+            "psi-inside-mu": (single, some.union(single)),
+            "single-model": (single, ModelSet(vocabulary, [0])),
+        }[shape]
+        assert set(WinslettUpdate().apply_models(psi, mu).masks) == winslett_reference(psi, mu)
+        assert set(BorgidaRevision().apply_models(psi, mu).masks) == borgida_reference(psi, mu)
+        for model_set in (psi, mu):
+            assert prime_implicants(model_set) == _quine_mccluskey(model_set)
+
+    @pytest.mark.parametrize("size", EDGE_SIZES)
+    def test_universe(self, size):
+        # Known answers: the quadratic references are too slow here.
+        vocabulary = _vocabulary_of(size)
+        universe = ModelSet.universe(vocabulary)
+        some = _some_models(vocabulary)
+        assert WinslettUpdate().apply_models(universe, some) == some
+        assert WinslettUpdate().apply_models(some, universe) == some
+        assert BorgidaRevision().apply_models(universe, some) == some
+        assert prime_implicants_of_bits(bits_of_model_set(universe), size) == [(0, 0)]
+        if size <= 8:
+            assert _quine_mccluskey(universe) == [(0, 0)]
+        if size <= MAX_BITSET_ATOMS:
+            assert prime_implicants(universe) == [(0, 0)]
+
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_above_the_cap_both_paths_agree(self, data):
+        size = MAX_BITSET_ATOMS + 1
+        psi = data.draw(model_sets_over(size))
+        mu = data.draw(model_sets_over(size))
+        # Public calls take the sparse path here; the bitset kernels still
+        # run at this size when called directly.
+        expected = winslett_reference(psi, mu)
+        assert set(WinslettUpdate().apply_models(psi, mu).masks) == expected
+        packed = pointwise_minimal(bits_of_model_set(psi), bits_of_model_set(mu), size)
+        assert set(iter_set_bits(packed)) == expected
+        assert prime_implicants(psi) == prime_implicants_of_bits(
+            bits_of_model_set(psi), size
+        )
 
 
 class TestImplGating:

@@ -10,6 +10,10 @@ LRU/eviction/isolation mechanics.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import random
+
 import pytest
 
 from repro.errors import ReproError
@@ -17,6 +21,7 @@ from repro.kb.knowledge_base import KnowledgeBase
 from repro.logic.enumeration import models
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import parse
+from repro.logic.random_formulas import random_satisfiable_formula, random_vocabulary
 from repro.logic.semantics import ModelSet
 from repro.operators.revision import DalalRevision, SatohRevision
 from repro.operators.update import WinslettUpdate
@@ -126,8 +131,43 @@ class TestContextRegistry:
         )
 
 
+#: SHA-256 over every ``state()`` of :func:`pinned_session_digest`,
+#: computed before the bitset kernels replaced Winslett's pairwise loop
+#: and Quine–McCluskey below 13 atoms.
+PINNED_SESSION_DIGEST = "5736d7a07cd59b19ee63e53a09f440ed545f88a24adf47f57fc157f0f8e06814"
+
+
+def pinned_session_digest(seed: int = 7, mutations: int = 128) -> str:
+    """One 8-atom session shaped like the served write benchmark: satisfiable
+    depth-3 formulas, revise/update/arbitrate/fit in rotation, and the
+    compact JSON of ``state()`` (the prime-implicant cover) after each step."""
+    vocabulary = random_vocabulary(8)
+    rng = random.Random(seed)
+
+    def formula() -> str:
+        return str(random_satisfiable_formula(vocabulary, 3, rng))
+
+    session = Session(
+        "pin", atoms=list(vocabulary.atoms), formula=formula(), registry=ContextRegistry()
+    )
+    digest = hashlib.sha256()
+    for step in range(mutations + 1):
+        if step:
+            verb = ("revise", "update", "arbitrate", "fit")[(step - 1) % 4]
+            getattr(session, verb)(formula())
+        state = json.dumps(session.state(), sort_keys=True, separators=(",", ":"))
+        digest.update(state.encode() + b"\n")
+    return digest.hexdigest()
+
+
 class TestAnswerIdentity:
     """Contexts must answer exactly like the direct operator paths."""
+
+    def test_serve_write_shaped_session_matches_pinned_digest(self):
+        # Pinned across commits: a kernel that changed a Winslett result
+        # or a cover on every path at once would still pass the
+        # path-against-path tests below.
+        assert pinned_session_digest() == PINNED_SESSION_DIGEST
 
     @pytest.mark.parametrize(
         "name", ["dalal", "satoh", "borgida", "weber", "winslett", "forbus", "odist"]
