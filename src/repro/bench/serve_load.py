@@ -2,9 +2,9 @@
 
 One measurement spins up an :class:`~repro.serve.server.ArbitrationServer`
 on a loopback port, opens ``clients`` concurrent connections — every
-client its own session over the *same* vocabulary, so queries that
-queue up while the worker is busy leave as one batch on one shared
-execution context — and drives a seeded
+client its own session over the *same* vocabulary, so all sessions
+share one execution context per operator and the queries that queue up
+while the worker is busy leave as one batch — and drives a seeded
 :mod:`~repro.logic.random_formulas` change stream (revise / update /
 arbitrate / fit, with an ``ask`` probe every few steps).  Recorded per row:
 

@@ -58,7 +58,7 @@ from repro.engine.resilience import DEFAULT_MAX_RETRIES
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import as_formula
 from repro.postulates.matrix import compute_matrix, render_matrix
-from repro.session import OPERATOR_FACTORIES, context_for, operator_by_name
+from repro.session import OPERATOR_FACTORIES, operator_by_name
 from repro.postulates.weighted_axioms import (
     audit_weighted_operator,
     render_weighted_audit,
@@ -122,11 +122,7 @@ def _cmd_change(args, out) -> int:
     mu = as_formula(args.mu)
     vocabulary = _vocabulary(args.atoms, psi, mu)
     operator = operator_by_name(args.op)
-    # Resolve through the shared session registry: repeated invocations in
-    # one process (shell, serve, tests) reuse one execution context per
-    # (operator, vocabulary) instead of rebuilding the distance matrix.
-    context = context_for(operator, vocabulary)
-    result = models(context.apply(psi, mu), vocabulary)
+    result = models(operator.apply(psi, mu, vocabulary), vocabulary)
     print(f"{operator.name}(ψ, μ) = {minimal_formula(result)}", file=out)
     _print_models(result, out)
     return 0

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, ClassVar, Iterable, Mapping, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Mapping, Optional, Sequence, Union
 
 try:  # pragma: no cover - numpy is baked into the container
     import numpy as np
@@ -59,7 +59,7 @@ from repro.logic.enumeration import models
 from repro.logic.interpretation import Interpretation, Vocabulary
 from repro.logic.semantics import ModelSet
 from repro.logic.syntax import Formula
-from repro.orders.cache import AssignmentCache, CacheInfo, DEFAULT_CACHE_SIZE
+from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment, CacheInfo
 from repro.orders.preorder import TotalPreorder
 
 __all__ = [
@@ -534,63 +534,9 @@ class WeightedKnowledgeBase:
         return f"WeightedKB({{{entries}}})"
 
 
-class WeightedLoyalAssignment:
-    """Maps weighted knowledge bases to total pre-orders.
-
-    Keyed by the weight function itself, so weighted loyalty condition 1
-    (equivalent weighted KBs get the same order) holds by construction.
-
-    Assignments built from :class:`WdistOrderBuilder` pickle cleanly (the
-    memo cache is dropped, not shipped), which is what lets the weighted
-    audit engine send operators to process-pool workers.
-    """
-
-    def __init__(
-        self,
-        builder: Callable[[WeightedKnowledgeBase], TotalPreorder],
-        name: str = "weighted-loyal",
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-    ):
-        self._builder = builder
-        self._cache_size = cache_size
-        self._cache = AssignmentCache(maxsize=cache_size, name=f"assignment.{name}")
-        self.name = name
-
-    @property
-    def builder(self) -> Callable[[WeightedKnowledgeBase], TotalPreorder]:
-        """The underlying ψ̃ ↦ ≤ψ̃ builder (the audit engine inspects its
-        batching metadata: ``kind``, ``metric``)."""
-        return self._builder
-
-    def __getstate__(self):
-        # Built pre-orders stay home: a worker rebuilds what it needs, and
-        # lazy pre-orders can hold large memoized key tables.
-        return {
-            "builder": self._builder,
-            "cache_size": self._cache_size,
-            "name": self.name,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(state["builder"], state["name"], state["cache_size"])
-
-    def order_for(self, knowledge_base: WeightedKnowledgeBase) -> TotalPreorder:
-        """The pre-order ``≤ψ̃``."""
-        return self._cache.get_or_build(knowledge_base, self._builder)
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction statistics of the memoized pre-orders."""
-        return self._cache.cache_info()
-
-    def cache_clear(self) -> None:
-        """Drop all memoized pre-orders."""
-        self._cache.clear()
-
-    def __call__(self, knowledge_base: WeightedKnowledgeBase) -> TotalPreorder:
-        return self.order_for(knowledge_base)
-
-    def __repr__(self) -> str:
-        return f"WeightedLoyalAssignment({self.name!r})"
+#: Weighted-loyal assignments share the one memoized implementation,
+#: keyed by the weight function itself (weighted loyalty condition 1).
+WeightedLoyalAssignment = Assignment
 
 
 @dataclass(frozen=True)

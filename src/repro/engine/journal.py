@@ -36,7 +36,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ReproError
 from repro.logic.interpretation import Vocabulary

@@ -7,7 +7,12 @@ come with mechanical condition checkers used by the test suite and the E5
 experiment.
 """
 
-from repro.orders.cache import AssignmentCache, CacheInfo, DEFAULT_CACHE_SIZE
+from repro.orders.cache import (
+    DEFAULT_CACHE_SIZE,
+    Assignment,
+    AssignmentCache,
+    CacheInfo,
+)
 from repro.orders.faithful import (
     FaithfulAssignment,
     FaithfulnessViolation,
@@ -43,6 +48,7 @@ __all__ = [
     "SymbolicPreorder",
     "min_distance_preorder",
     "max_distance_preorder",
+    "Assignment",
     "AssignmentCache",
     "CacheInfo",
     "DEFAULT_CACHE_SIZE",

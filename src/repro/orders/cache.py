@@ -1,13 +1,14 @@
-"""A bounded, statistics-exposing cache for assignment pre-orders.
+"""Memoized assignments and the bounded cache behind them.
 
 Faithful, loyal, and weighted-loyal assignments all memoize the pre-order
-``≤ψ`` per knowledge base — syntax irrelevance makes the model set a
-perfect cache key.  The original ad-hoc ``dict`` caches, however, grew
-without bound over a long shell or benchmark session.  This module gives
-every assignment one shared implementation: an LRU-bounded mapping with
+``≤ψ`` per knowledge base — syntax irrelevance makes the model set (or,
+for weighted bases, the weight function) a perfect cache key.  They
+differ only in their builders, so they are one class here,
+:class:`Assignment`, over one LRU-bounded mapping with
 ``functools.lru_cache``-style statistics, surfaced through
 ``cache_info()`` on the assignments, the operators built from them, and
-the E9 bench harness.
+the E9 bench harness.  ``LoyalAssignment``, ``FaithfulAssignment`` and
+``WeightedLoyalAssignment`` are its names in the paper's vocabulary.
 
 Caches are thread-safe: lookups, insertions, and evictions run under a
 per-cache lock, while builders run *outside* it (two threads missing the
@@ -28,8 +29,9 @@ from collections import OrderedDict
 from typing import Callable, Hashable, NamedTuple, Optional, TypeVar
 
 from repro import obs
+from repro.orders.preorder import TotalPreorder
 
-__all__ = ["AssignmentCache", "CacheInfo", "DEFAULT_CACHE_SIZE"]
+__all__ = ["Assignment", "AssignmentCache", "CacheInfo", "DEFAULT_CACHE_SIZE"]
 
 #: Default bound on memoized pre-orders per assignment.  Pre-orders are
 #: lazy, so an entry costs only its computed keys; 256 knowledge bases is
@@ -163,3 +165,66 @@ class AssignmentCache:
 
     def __repr__(self) -> str:
         return f"AssignmentCache({self.cache_info()!r})"
+
+
+class Assignment:
+    """A function from knowledge bases to total pre-orders, memoized.
+
+    Wraps a ψ ↦ ≤ψ builder and caches its pre-orders in a bounded
+    :class:`AssignmentCache` keyed by the knowledge base itself — a model
+    set, or a weighted base's weight function — so equivalent knowledge
+    bases receive the identical pre-order by construction (faithfulness
+    condition 3, loyalty condition 1).  The remaining conditions are
+    properties of the builder, audited by ``check_faithful`` /
+    ``check_loyal``.
+
+    Assignments pickle as their recipe (builder, name, cache bound); the
+    memo cache stays home, because a worker rebuilds what it needs and
+    lazy pre-orders can hold large key tables.  That is what lets the
+    audit engines send operators to process-pool workers.
+    """
+
+    def __init__(
+        self,
+        builder: Callable[..., TotalPreorder],
+        name: str,
+        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
+    ):
+        self._builder = builder
+        self._cache_size = cache_size
+        self._cache = AssignmentCache(maxsize=cache_size, name=f"assignment.{name}")
+        self.name = name
+
+    @property
+    def builder(self) -> Callable[..., TotalPreorder]:
+        """The underlying ψ ↦ ≤ψ builder (the audit engines inspect its
+        batching metadata: ``kind``, ``metric``, ``rank``)."""
+        return self._builder
+
+    def __getstate__(self):
+        return {
+            "builder": self._builder,
+            "cache_size": self._cache_size,
+            "name": self.name,
+        }
+
+    def __setstate__(self, state):
+        self.__init__(state["builder"], state["name"], state["cache_size"])
+
+    def order_for(self, knowledge_base) -> TotalPreorder:
+        """The pre-order ``≤ψ`` for a knowledge base."""
+        return self._cache.get_or_build(knowledge_base, self._builder)
+
+    def cache_info(self) -> CacheInfo:
+        """Hit/miss/eviction statistics of the memoized pre-orders."""
+        return self._cache.cache_info()
+
+    def cache_clear(self) -> None:
+        """Drop all memoized pre-orders."""
+        self._cache.clear()
+
+    def __call__(self, knowledge_base) -> TotalPreorder:
+        return self.order_for(knowledge_base)
+
+    def __repr__(self) -> str:
+        return f"Assignment({self.name!r})"

@@ -18,13 +18,12 @@ condition 3 hold by construction.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.distances.base import HammingDistance, InterpretationDistance
 from repro.logic.semantics import ModelSet
-from repro.orders.cache import AssignmentCache, CacheInfo, DEFAULT_CACHE_SIZE
+from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment
 from repro.orders.loyal import DistanceOrderBuilder
-from repro.orders.preorder import TotalPreorder
 
 __all__ = [
     "FaithfulAssignment",
@@ -35,60 +34,9 @@ __all__ = [
 ]
 
 
-class FaithfulAssignment:
-    """A function from knowledge bases (as model sets) to total pre-orders.
-
-    Wraps a builder callable and memoizes per model set in a bounded LRU
-    :class:`~repro.orders.cache.AssignmentCache`.  Because the key is the
-    model set, logically equivalent knowledge bases receive the identical
-    pre-order (KM condition 3).
-    """
-
-    def __init__(
-        self,
-        builder: Callable[[ModelSet], TotalPreorder],
-        name: str = "faithful",
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-    ):
-        self._builder = builder
-        self._cache_size = cache_size
-        self._cache = AssignmentCache(maxsize=cache_size, name=f"assignment.{name}")
-        self.name = name
-
-    @property
-    def builder(self) -> Callable[[ModelSet], TotalPreorder]:
-        """The underlying ψ ↦ ≤ψ builder (the audit engine inspects its
-        batching metadata: ``kind``, ``metric``)."""
-        return self._builder
-
-    def __getstate__(self):
-        # As with loyal assignments: ship the recipe, not the memo cache.
-        return {
-            "builder": self._builder,
-            "cache_size": self._cache_size,
-            "name": self.name,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(state["builder"], state["name"], state["cache_size"])
-
-    def order_for(self, knowledge_base: ModelSet) -> TotalPreorder:
-        """The pre-order ``≤ψ`` for a knowledge base given by its models."""
-        return self._cache.get_or_build(knowledge_base, self._builder)
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction statistics of the memoized pre-orders."""
-        return self._cache.cache_info()
-
-    def cache_clear(self) -> None:
-        """Drop all memoized pre-orders."""
-        self._cache.clear()
-
-    def __call__(self, knowledge_base: ModelSet) -> TotalPreorder:
-        return self.order_for(knowledge_base)
-
-    def __repr__(self) -> str:
-        return f"FaithfulAssignment({self.name!r})"
+#: Faithful assignments share the one memoized implementation; the name
+#: keeps the paper's vocabulary in signatures.
+FaithfulAssignment = Assignment
 
 
 class MinDistanceBuilder(DistanceOrderBuilder):

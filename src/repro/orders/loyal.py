@@ -44,7 +44,7 @@ from repro.distances import kernels
 from repro.distances.base import HammingDistance, InterpretationDistance
 from repro.logic.interpretation import Vocabulary, iter_set_bits
 from repro.logic.semantics import ModelSet
-from repro.orders.cache import AssignmentCache, CacheInfo, DEFAULT_CACHE_SIZE
+from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment
 from repro.orders.preorder import TotalPreorder
 
 __all__ = [
@@ -60,65 +60,9 @@ __all__ = [
 ]
 
 
-class LoyalAssignment:
-    """A function from knowledge bases (as model sets) to total pre-orders.
-
-    Keyed by model set, so loyalty condition 1 (syntax irrelevance) holds
-    by construction.  Conditions 2–3 are properties of the builder and can
-    be audited with :func:`check_loyal`.  Built orders are memoized in a
-    bounded LRU :class:`~repro.orders.cache.AssignmentCache`.
-
-    Assignments built from the module's builder classes pickle cleanly
-    (the memo cache is dropped, not shipped), which is what lets the
-    audit engine send operators to process-pool workers.
-    """
-
-    def __init__(
-        self,
-        builder: Callable[[ModelSet], TotalPreorder],
-        name: str = "loyal",
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-    ):
-        self._builder = builder
-        self._cache_size = cache_size
-        self._cache = AssignmentCache(maxsize=cache_size, name=f"assignment.{name}")
-        self.name = name
-
-    @property
-    def builder(self) -> Callable[[ModelSet], TotalPreorder]:
-        """The underlying ψ ↦ ≤ψ builder (the audit engine inspects its
-        batching metadata: ``kind``, ``metric``, ``rank``)."""
-        return self._builder
-
-    def __getstate__(self):
-        # Built pre-orders stay home: a worker rebuilds what it needs, and
-        # lazy pre-orders can hold large memoized key tables.
-        return {
-            "builder": self._builder,
-            "cache_size": self._cache_size,
-            "name": self.name,
-        }
-
-    def __setstate__(self, state):
-        self.__init__(state["builder"], state["name"], state["cache_size"])
-
-    def order_for(self, knowledge_base: ModelSet) -> TotalPreorder:
-        """The pre-order ``≤ψ`` for a knowledge base given by its models."""
-        return self._cache.get_or_build(knowledge_base, self._builder)
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/eviction statistics of the memoized pre-orders."""
-        return self._cache.cache_info()
-
-    def cache_clear(self) -> None:
-        """Drop all memoized pre-orders."""
-        self._cache.clear()
-
-    def __call__(self, knowledge_base: ModelSet) -> TotalPreorder:
-        return self.order_for(knowledge_base)
-
-    def __repr__(self) -> str:
-        return f"LoyalAssignment({self.name!r})"
+#: Loyal assignments share the one memoized implementation; the name
+#: keeps the paper's vocabulary in signatures.
+LoyalAssignment = Assignment
 
 
 def bitmask_priority(mask: int) -> int:

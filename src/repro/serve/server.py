@@ -7,16 +7,15 @@ Architecture (``docs/serving.md`` has the full picture):
   ``429`` instead of letting latency collapse for everyone
   (``serve.shed`` counts the victims).  ``/healthz`` and ``/metrics``
   bypass the queue so the server stays observable under overload.
-* **Work-conserving micro-batching** — a single batcher task hands
-  each job to the worker as soon as it is free, together with whatever
-  queued up behind it (at most ``batch_max`` jobs), so batches form only
-  under load and a lone request never waits.  A batch is grouped by
-  coalescing key — the session vocabulary, so queries against the same
-  vocabulary land on the one shared
-  :class:`~repro.session.registry.ExecutionContext` back to back with
-  its distance matrix and caches hot — and runs on a single worker
-  thread.  One worker means session state needs no locks: the event loop
-  only parses, frames, and awaits futures.
+* **Work-conserving batching** — a single batcher task hands each job
+  to the worker as soon as it is free, together with whatever queued up
+  behind it (at most ``batch_max`` jobs), so batches form only under
+  load and a lone request never waits.  A batch runs its jobs in
+  arrival order as one executor call on a single worker thread: a call
+  per job would pay an executor hop and an event-loop wake-up per job,
+  which costs throughput under load.  One worker means session state
+  needs no locks: the event loop only parses, frames, and awaits
+  futures.
 * **Persistence** — with a store configured, every mutating query
   snapshots its session atomically; an unknown id is loaded from the
   store on first touch, so a restarted server resumes exactly where the
@@ -132,8 +131,7 @@ class ArbitrationServer:
 
     async def start(self) -> "ArbitrationServer":
         self._queue = asyncio.Queue(maxsize=self.config.queue_limit)
-        # One worker serializes all session mutation — no locks, and
-        # batched jobs sharing a context run back to back on a hot cache.
+        # One worker serializes all session mutation — no locks.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
         )
@@ -299,30 +297,8 @@ class ArbitrationServer:
 
     # -- batching -----------------------------------------------------------
 
-    def _group_key(self, job: _Job) -> tuple:
-        """Coalescing key: jobs over one vocabulary share one engine.
-
-        Read from the event loop before the batch executes; sessions only
-        mutate on the worker thread, so a stale read merely costs one
-        coalescing opportunity, never correctness.  Create bodies are raw
-        client input (``atoms`` may be anything JSON allows), so the key
-        falls back to per-job identity whenever it would not be hashable;
-        the real validation happens later, on the worker.
-        """
-        if job.session_id is not None:
-            session = self._sessions.get(job.session_id)
-            if session is not None:
-                return ("vocabulary",) + tuple(session.vocabulary.atoms)
-            return ("session", job.session_id)
-        try:
-            key = ("create", tuple(job.body.get("atoms") or ()))
-            hash(key)
-        except TypeError:
-            return ("job", id(job))
-        return key
-
     async def _batcher(self) -> None:
-        """Hand queued jobs to the worker in vocabulary-grouped batches.
+        """Hand queued jobs to the worker in arrival-ordered batches.
 
         Work-conserving: once the first job is in hand, the batch takes
         only the jobs already queued behind it and leaves at once.  Jobs
@@ -375,39 +351,32 @@ class ArbitrationServer:
     async def _run_batch(self, batch: list[_Job]) -> None:
         assert self._executor is not None
         loop = asyncio.get_running_loop()
-        groups: dict[tuple, list[_Job]] = {}
-        for job in batch:
-            groups.setdefault(self._group_key(job), []).append(job)
         registry = obs.active()
         if registry is not None:
             registry.counter("serve.batches").inc()
             registry.histogram("serve.batch_size").observe(len(batch))
-            registry.counter("serve.coalesced").inc(len(batch) - len(groups))
             registry.gauge("serve.queue_depth").set(self._queue.qsize())
-        ordered = [job for jobs in groups.values() for job in jobs]
         try:
             results = await loop.run_in_executor(
-                self._executor, self._process_jobs, ordered, len(groups)
+                self._executor, self._process_jobs, batch
             )
         except Exception as error:  # worker died — fail the whole batch
-            for job in ordered:
+            for job in batch:
                 if not job.future.done():
                     job.future.set_result(
                         (500, {"ok": False, "error": f"internal error: {error}"})
                     )
             return
-        for job, result in zip(ordered, results):
+        for job, result in zip(batch, results):
             if not job.future.done():
                 job.future.set_result(result)
 
     # -- job execution (worker thread) --------------------------------------
 
-    def _process_jobs(
-        self, jobs: list[_Job], group_count: int
-    ) -> list[tuple[int, dict[str, Any]]]:
+    def _process_jobs(self, jobs: list[_Job]) -> list[tuple[int, dict[str, Any]]]:
         results = []
         registry = obs.active()
-        with obs.span("serve.batch", size=len(jobs), groups=group_count):
+        with obs.span("serve.batch", size=len(jobs)):
             for job in jobs:
                 if registry is not None:
                     registry.histogram("serve.queue_wait_seconds").observe(

@@ -12,7 +12,9 @@ middle layer between them and every consumer:
 * :mod:`repro.session.registry` — LRU-bounded resolution of
   ``(operator, vocabulary, impl)`` to a shared
   :class:`ExecutionContext` (one distance matrix / one BDD manager per
-  key, ``cache.session.contexts.*`` observability);
+  key, ``cache.session.contexts.*`` observability).  Only sessions
+  route through it, and they hold no context themselves, so the LRU
+  bound is the memory ceiling;
 * :mod:`repro.session.session` — :class:`Session` /
   :class:`WeightedSession`, the per-client state the serving layer
   (:mod:`repro.serve`) holds and persists.
@@ -29,8 +31,6 @@ from repro.session.registry import (
     DEFAULT_MAX_CONTEXTS,
     ContextRegistry,
     ExecutionContext,
-    clear_contexts,
-    context_for,
     default_registry,
 )
 from repro.session.session import (
@@ -50,9 +50,7 @@ __all__ = [
     "DEFAULT_MAX_CONTEXTS",
     "ContextRegistry",
     "ExecutionContext",
-    "context_for",
     "default_registry",
-    "clear_contexts",
     "OPERATOR_FACTORIES",
     "DEFAULT_OPERATOR_NAMES",
     "operator_by_name",

@@ -13,8 +13,9 @@ resolves ``(operator, vocabulary, impl)`` to a cached
 :class:`ExecutionContext` through an LRU bound
 (:class:`~repro.orders.cache.AssignmentCache`, surfacing
 ``cache.session.contexts.*`` observability counters), so concurrent
-sessions over one vocabulary coalesce onto one engine.  The serving
-layer's cross-request micro-batching is this registry plus a queue.
+sessions over one vocabulary share one engine.  Sessions resolve their
+context on every change and keep none of their own, so the LRU is the
+only holder of contexts and its bound is the memory ceiling.
 
 Exactness: a context answers *identically* to calling the wrapped
 operator directly — dense contexts go through ``BatchedOperator`` (whose
@@ -30,10 +31,8 @@ import threading
 from typing import Optional
 
 from repro.engine.batched import BatchedOperator
-from repro.logic.enumeration import form_formula, models
 from repro.logic.interpretation import Vocabulary
 from repro.logic.semantics import ModelSet
-from repro.logic.syntax import Formula
 from repro.operators.base import TheoryChangeOperator
 from repro.orders.cache import AssignmentCache, CacheInfo
 from repro.session.dispatch import AUTO, DENSE, SYMBOLIC, resolve_backend
@@ -42,9 +41,7 @@ __all__ = [
     "DEFAULT_MAX_CONTEXTS",
     "ExecutionContext",
     "ContextRegistry",
-    "context_for",
     "default_registry",
-    "clear_contexts",
 ]
 
 #: Bound on simultaneously cached execution contexts.  A dense context
@@ -72,12 +69,12 @@ class ExecutionContext:
 
     Dense contexts own a shared :class:`BatchedOperator` (one distance
     matrix, bounded key/result caches); symbolic contexts execute on the
-    persistent per-vocabulary BDD manager.  Both expose the same two
-    calls — model-set application and formula application — with results
-    identical to the un-shared code paths they replace.
+    persistent per-vocabulary BDD manager.  Either way
+    :meth:`apply_model_sets` answers identically to the un-shared
+    ``operator.apply_models``.
     """
 
-    __slots__ = ("operator", "vocabulary", "backend", "_batched", "_symbolic")
+    __slots__ = ("operator", "vocabulary", "backend", "_engine")
 
     def __init__(
         self,
@@ -85,76 +82,33 @@ class ExecutionContext:
         vocabulary: Vocabulary,
         backend: str,
     ):
-        if backend not in (DENSE, SYMBOLIC):
-            raise ValueError(f"unresolved backend {backend!r}")
-        self.operator = operator
-        self.vocabulary = vocabulary
-        self.backend = backend
-        self._batched: Optional[BatchedOperator] = None
-        self._symbolic = None
         if backend == DENSE:
-            self._batched = BatchedOperator(operator, vocabulary)
-        else:
+            self._engine = BatchedOperator(operator, vocabulary)
+        elif backend == SYMBOLIC:
             from repro.symbolic import SymbolicOperator
 
             # Raises the symbolic tier's precise refusal for operators
             # without a level-walk execution.
-            self._symbolic = SymbolicOperator(operator)
-
-    @property
-    def engine(self):
-        """The underlying shared engine (``BatchedOperator`` or
-        ``SymbolicOperator``)."""
-        return self._batched if self._batched is not None else self._symbolic
-
-    def _lift(self, model_set: ModelSet):
-        from repro.logic.bdd import manager_for
-        from repro.symbolic import lift_model_set
-
-        return lift_model_set(manager_for(self.vocabulary), model_set)
+            self._engine = SymbolicOperator(operator)
+        else:
+            raise ValueError(f"unresolved backend {backend!r}")
+        self.operator = operator
+        self.vocabulary = vocabulary
+        self.backend = backend
 
     def apply_model_sets(self, psi: ModelSet, mu: ModelSet) -> ModelSet:
         """``Mod(ψ * μ)`` — answer-identical to
         ``operator.apply_models(psi, mu)`` on either backend."""
-        if self._batched is not None:
-            return self._batched.apply_models(psi, mu)
-        result = self._symbolic.apply_models(self._lift(psi), self._lift(mu))
-        return result.to_model_set()
+        if self.backend == DENSE:
+            return self._engine.apply_models(psi, mu)
+        from repro.logic.bdd import manager_for
+        from repro.symbolic import lift_model_set
 
-    def merge_model_sets(self, sources: list[ModelSet]) -> ModelSet:
-        """N-ary consensus for arbitration operators (``merge_models``)."""
-        merge = getattr(self.operator, "merge_models", None)
-        if merge is None:
-            raise ValueError(
-                f"operator {self.operator.name!r} has no n-ary merge"
-            )
-        if self._batched is not None:
-            # merge_models routes through the fitting's apply_models; the
-            # shared-matrix saving lives in session-level fitting proxies,
-            # so the direct call here is already answer-identical.
-            return merge(sources)
-        from repro.symbolic import merge_models_symbolic
-
-        result = merge_models_symbolic(
-            self.operator, [self._lift(source) for source in sources]
+        manager = manager_for(self.vocabulary)
+        result = self._engine.apply_models(
+            lift_model_set(manager, psi), lift_model_set(manager, mu)
         )
         return result.to_model_set()
-
-    def apply(self, psi: Formula, mu: Formula) -> Formula:
-        """Formula-level application — answer-identical to
-        ``operator.apply(psi, mu, vocabulary, impl=backend)``."""
-        if self._symbolic is not None:
-            from repro.symbolic import apply_symbolic
-
-            return apply_symbolic(self.operator, psi, mu, self.vocabulary)
-        psi_models = models(psi, self.vocabulary)
-        mu_models = models(mu, self.vocabulary)
-        result = self.apply_model_sets(psi_models, mu_models)
-        return form_formula(result)
-
-    def cache_info(self):
-        """Statistics of the context's shared caches (dense only)."""
-        return self._batched.cache_info() if self._batched is not None else None
 
     def __repr__(self) -> str:
         return (
@@ -193,10 +147,6 @@ class ContextRegistry:
         """Hit/miss/eviction statistics of the context LRU."""
         return self._cache.cache_info()
 
-    def clear(self) -> None:
-        """Drop every cached context (tests / memory-pressure escape)."""
-        self._cache.clear()
-
 
 _default_lock = threading.Lock()
 _default: Optional[ContextRegistry] = None
@@ -209,17 +159,3 @@ def default_registry() -> ContextRegistry:
         if _default is None:
             _default = ContextRegistry()
         return _default
-
-
-def context_for(
-    operator: TheoryChangeOperator, vocabulary: Vocabulary, impl: str = AUTO
-) -> ExecutionContext:
-    """Resolve through the process-wide registry."""
-    return default_registry().context_for(operator, vocabulary, impl)
-
-
-def clear_contexts() -> None:
-    """Clear the process-wide registry (tests)."""
-    registry = _default
-    if registry is not None:
-        registry.clear()

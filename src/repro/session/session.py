@@ -41,11 +41,7 @@ from repro.operators.revision import (
 )
 from repro.operators.update import ForbusUpdate, WinslettUpdate
 from repro.session.dispatch import AUTO, ensure_impl
-from repro.session.registry import (
-    ContextRegistry,
-    ExecutionContext,
-    default_registry,
-)
+from repro.session.registry import ContextRegistry, default_registry
 
 __all__ = [
     "OPERATOR_FACTORIES",
@@ -105,12 +101,13 @@ class _ContextOperator(TheoryChangeOperator):
     """An operator proxy that executes through the shared registry.
 
     Carries the inner operator's identity (name, family) so provenance
-    records and reports are unchanged; ``apply_models`` resolves the
-    execution context lazily from the model sets' vocabulary, so one
-    proxy serves a knowledge base for its whole life.
+    records and reports are unchanged.  ``apply_models`` resolves the
+    execution context from the registry on every call and keeps no
+    reference to it, so a context the LRU evicts is rebuilt once and
+    then shared again, never held privately.
     """
 
-    __slots__ = ("_inner", "_registry", "_impl", "_contexts")
+    __slots__ = ("_inner", "_registry", "_impl")
 
     def __init__(
         self,
@@ -121,26 +118,13 @@ class _ContextOperator(TheoryChangeOperator):
         self._inner = inner
         self._registry = registry
         self._impl = impl
-        self._contexts: dict = {}
         self.name = inner.name
         self.family = inner.family
 
-    @property
-    def inner(self) -> TheoryChangeOperator:
-        return self._inner
-
-    def context(self, vocabulary) -> ExecutionContext:
-        context = self._contexts.get(vocabulary)
-        if context is None:
-            context = self._registry.context_for(
-                self._inner, vocabulary, self._impl
-            )
-            self._contexts[vocabulary] = context
-        return context
-
     def apply_models(self, psi, mu):
         self._check_vocabularies(psi, mu)
-        return self.context(psi.vocabulary).apply_model_sets(psi, mu)
+        context = self._registry.context_for(self._inner, psi.vocabulary, self._impl)
+        return context.apply_model_sets(psi, mu)
 
 
 class Session:
@@ -164,12 +148,12 @@ class Session:
         operators: Optional[Mapping[str, str]] = None,
         impl: str = AUTO,
         registry: Optional[ContextRegistry] = None,
-        _kb: Optional[KnowledgeBase] = None,
+        _kb_payload: Optional[dict] = None,
     ):
         self.session_id = validate_session_id(session_id)
-        ensure_impl(impl)
-        self._impl = impl
-        self._registry = registry if registry is not None else default_registry()
+        self._impl = ensure_impl(impl)
+        if registry is None:
+            registry = default_registry()
         if operators is not None and not isinstance(operators, Mapping):
             raise ReproError(
                 "operators must map roles to operator names, "
@@ -184,22 +168,17 @@ class Session:
                 f"expected {sorted(DEFAULT_OPERATOR_NAMES)}"
             )
         self._operator_names = names
-        self._revision = self._proxy(names["revision"])
-        self._update = self._proxy(names["update"])
-        self._fitting = self._proxy(names["fitting"])
-        if _kb is not None:
-            self._kb = _kb
-        else:
-            self._kb = KnowledgeBase(
-                formula,
-                atoms=list(atoms),
-                revision=self._revision,
-                update=self._update,
-                fitting=self._fitting,
-            )
+        # The roles are KnowledgeBase's operator keywords.
+        roles = {
+            role: _ContextOperator(operator_by_name(name), registry, impl)
+            for role, name in names.items()
+        }
+        if _kb_payload is not None:
+            from repro.kb.serialize import knowledge_base_from_dict
 
-    def _proxy(self, name: str) -> _ContextOperator:
-        return _ContextOperator(operator_by_name(name), self._registry, self._impl)
+            self._kb = knowledge_base_from_dict(_kb_payload, **roles)
+        else:
+            self._kb = KnowledgeBase(formula, atoms=list(atoms), **roles)
 
     # -- inspection ---------------------------------------------------------
 
@@ -282,26 +261,17 @@ class Session:
     def from_payload(
         cls, data: dict, registry: Optional[ContextRegistry] = None
     ) -> "Session":
-        """Inverse of :meth:`to_payload`; reattaches context proxies."""
-        from repro.kb.serialize import knowledge_base_from_dict
-
-        session = cls.__new__(cls)
-        session.session_id = validate_session_id(data["id"])
-        session._impl = ensure_impl(data.get("impl", AUTO))
-        session._registry = registry if registry is not None else default_registry()
-        names = dict(DEFAULT_OPERATOR_NAMES)
-        names.update(data.get("operators") or {})
-        session._operator_names = names
-        session._revision = session._proxy(names["revision"])
-        session._update = session._proxy(names["update"])
-        session._fitting = session._proxy(names["fitting"])
-        session._kb = knowledge_base_from_dict(
-            data["kb"],
-            revision=session._revision,
-            update=session._update,
-            fitting=session._fitting,
+        """Inverse of :meth:`to_payload`; the stored id, ``impl`` and
+        ``operators`` are checked exactly as a create request's are."""
+        # The stored knowledge base carries its own atoms and formula.
+        return cls(
+            data["id"],
+            atoms=(),
+            operators=data.get("operators"),
+            impl=data.get("impl", AUTO),
+            registry=registry,
+            _kb_payload=data["kb"],
         )
-        return session
 
     def __repr__(self) -> str:
         return (

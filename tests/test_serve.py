@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -21,9 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.kb.serialize import save_json_snapshot
 from repro.logic.parser import MAX_FORMULA_DEPTH
+from repro.logic.random_formulas import random_satisfiable_formula, random_vocabulary
 from repro.serve import (
     ArbitrationServer,
     ServeClient,
@@ -514,8 +517,36 @@ class TestBatchingAndAdmission:
         # 4 creates + the head query + one batch for everything behind it
         assert counters["serve.batches"] == 6
         assert snapshot["histograms"]["serve.batch_size"]["max"] == queued
-        # all eight share one vocabulary, so seven coalesce onto the first
-        assert counters["serve.coalesced"] == queued - 1
+
+    def test_batch_runs_mixed_vocabularies_in_arrival_order(self):
+        async def main():
+            with obs.use() as registry:
+                async with serve() as (server, _):
+                    for name in ("x0", "x1", "y0", "y1"):
+                        atoms = ["a", "b"] if name[0] == "x" else ["p", "q"]
+                        body = {"id": name, "atoms": atoms}
+                        await server._enqueue("create", None, body)
+                    order = []
+                    original = server._process_job
+
+                    def recording(job):
+                        order.append(job.session_id)
+                        return original(job)
+
+                    server._process_job = recording
+                    arrivals = ["x0", "y0", "x1", "y1"]
+                    # All four are queued in one event-loop turn, before
+                    # the idle batcher wakes, so they leave as one batch.
+                    ask = {"op": "ask", "formula": "true"}
+                    asks = [server._enqueue("query", sid, ask) for sid in arrivals]
+                    results = await asyncio.wait_for(asyncio.gather(*asks), 10)
+                snapshot = registry.snapshot()
+            return arrivals, order, results, snapshot
+
+        arrivals, order, results, snapshot = run(main())
+        assert snapshot["histograms"]["serve.batch_size"]["max"] == len(arrivals)
+        assert order == arrivals
+        assert [status for status, _ in results] == [200] * len(arrivals)
 
     def test_lone_job_dispatches_without_waiting(self):
         async def main():
@@ -584,9 +615,9 @@ class TestBatchingAndAdmission:
             release = threading.Event()
             original = server._process_jobs
 
-            def blocked(jobs, group_count):
+            def blocked(jobs):
                 release.wait(10)
-                return original(jobs, group_count)
+                return original(jobs)
 
             server._process_jobs = blocked
             client = ServeClient(server.host, server.port)
@@ -628,6 +659,106 @@ class TestBatchingAndAdmission:
         status, body = run(main())
         assert status == 200 and body["ok"] is True
         assert body["queue_depth"] == 1
+
+
+#: Every verb a served-versus-direct script draws from.
+SCRIPT_VERBS = ("revise", "update", "fit", "arbitrate", "contract", "merge", "ask")
+
+
+def client_script(client: int, vocabulary, rounds: int) -> tuple[str, list[dict]]:
+    """One client's seeded initial formula and query bodies: every verb
+    ``rounds`` times in a shuffled order, satisfiable depth-2 formulas."""
+    rng = random.Random(client)
+
+    def formula() -> str:
+        return str(random_satisfiable_formula(vocabulary, 2, rng))
+
+    verbs = list(SCRIPT_VERBS) * rounds
+    rng.shuffle(verbs)
+    bodies = []
+    for verb in verbs:
+        if verb == "merge":
+            sources = [formula() for _ in range(rng.randint(1, 2))]
+            bodies.append({"op": verb, "sources": sources})
+        else:
+            bodies.append({"op": verb, "formula": formula()})
+    return formula(), bodies
+
+
+def replay_script(session_id, atoms, initial, bodies, store):
+    """The responses a server must send for one client's script, from an
+    in-process :class:`Session` snapshotting into ``store`` as the server
+    does; returns ``(responses, session)``."""
+    session = Session(
+        session_id, atoms=atoms, formula=initial, registry=ContextRegistry()
+    )
+    store.save(session)
+    responses = [(201, {"ok": True, "session": session.state()})]
+    for body in bodies:
+        op = body["op"]
+        if op == "ask":
+            answer = session.ask(body["formula"])
+            reply = {"ok": True, "session": session_id, "op": op, "answer": answer}
+            responses.append((200, reply))
+            continue
+        getattr(session, op)(body["sources"] if op == "merge" else body["formula"])
+        store.save(session)
+        responses.append((200, {"ok": True, "op": op, "session": session.state()}))
+    return responses, session
+
+
+class TestServedMatchesDirect:
+    CLIENTS = 8  # more connections than the 2-vCPU CI hosts have cores
+    ROUNDS = 3
+
+    def test_concurrent_clients_match_in_process_replay(self, tmp_path):
+        vocabulary = random_vocabulary(4)
+        atoms = list(vocabulary.atoms)
+        scripts = {
+            f"diff-{client}": client_script(client, vocabulary, self.ROUNDS)
+            for client in range(self.CLIENTS)
+        }
+        served_dir = tmp_path / "served"
+        config = ServeConfig(port=0, store_dir=str(served_dir))
+
+        async def drive(server, session_id, initial, bodies):
+            client = ServeClient(server.host, server.port)
+            try:
+                create = {"id": session_id, "atoms": atoms, "formula": initial}
+                responses = [await client.request("POST", "/v1/sessions", create)]
+                for body in bodies:
+                    path = f"/v1/sessions/{session_id}/query"
+                    responses.append(await client.request("POST", path, body))
+                return responses
+            finally:
+                await client.close()
+
+        async def first_life():
+            async with serve(config) as (server, _):
+                return await asyncio.gather(
+                    *(drive(server, sid, *script) for sid, script in scripts.items())
+                )
+
+        async def second_life():
+            async with serve(config) as (_, client):
+                return [
+                    await client.request("GET", f"/v1/sessions/{sid}")
+                    for sid in scripts
+                ]
+
+        served = run(asyncio.wait_for(first_life(), 120))
+        restarted = run(asyncio.wait_for(second_life(), 60))
+
+        direct_store = SessionStore(str(tmp_path / "direct"))
+        for (sid, (initial, bodies)), responses, state in zip(
+            scripts.items(), served, restarted
+        ):
+            expected, session = replay_script(sid, atoms, initial, bodies, direct_store)
+            assert responses == expected, sid
+            assert state == (200, {"ok": True, "session": session.state()}), sid
+            assert (served_dir / f"{sid}.json").read_bytes() == Path(
+                direct_store.path_for(sid)
+            ).read_bytes(), sid
 
 
 class TestPersistence:
@@ -820,6 +951,30 @@ class TestPersistence:
         loaded = store.load("deep", registry=ContextRegistry())
         assert loaded.state() == session.state()
         assert loaded.kb.history == session.kb.history
+
+    @pytest.mark.parametrize(
+        "operators",
+        [{"merge": "dalal"}, ["dalal"], "dalal"],
+        ids=["unknown-role", "list", "string"],
+    )
+    def test_stored_operators_are_checked_like_a_create(self, tmp_path, operators):
+        store_dir = str(tmp_path / "store")
+        store = SessionStore(store_dir)
+        session = Session("ops", atoms=["a", "b"], registry=ContextRegistry())
+        path = Path(store.save(session))
+        payload = json.loads(path.read_text())
+        payload["operators"] = operators
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ReproError, match="operator"):
+            store.load("ops", registry=ContextRegistry())
+
+        async def main():
+            async with serve(ServeConfig(port=0, store_dir=store_dir)) as (_, client):
+                return await client.request("GET", "/v1/sessions/ops")
+
+        status, body = run(main())
+        assert status == 400
+        assert body["ok"] is False and "operator" in body["error"]
 
     def test_torn_snapshot_refused_on_load(self, tmp_path):
         from repro.errors import ReproError

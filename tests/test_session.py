@@ -22,7 +22,6 @@ from repro.logic.enumeration import models
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import parse
 from repro.logic.random_formulas import random_satisfiable_formula, random_vocabulary
-from repro.logic.semantics import ModelSet
 from repro.operators.revision import DalalRevision, SatohRevision
 from repro.operators.update import WinslettUpdate
 from repro.session import (
@@ -103,8 +102,6 @@ class TestContextRegistry:
         ctx2 = registry.context_for(DalalRevision(), VOC2)
         assert ctx3 is not ctx2
         assert ctx3.vocabulary == VOC3 and ctx2.vocabulary == VOC2
-        # engines are vocabulary-bound, never shared across vocabularies
-        assert ctx3.engine is not ctx2.engine
 
     def test_cross_operator_isolation(self):
         registry = ContextRegistry()
@@ -178,9 +175,9 @@ class TestAnswerIdentity:
         registry = ContextRegistry()
         context = registry.context_for(operator, VOC3, DENSE)
         psi, mu = parse(psi_text), parse(mu_text)
-        via_context = context.apply(psi, mu)
+        via_context = context.apply_model_sets(models(psi, VOC3), models(mu, VOC3))
         direct = operator.apply(psi, mu, VOC3, impl=DENSE)
-        assert models(via_context, VOC3) == models(direct, VOC3)
+        assert via_context == models(direct, VOC3)
 
     @pytest.mark.parametrize("psi_text,mu_text", PAIRS)
     def test_symbolic_context_matches_direct_apply(self, psi_text, mu_text):
@@ -188,9 +185,9 @@ class TestAnswerIdentity:
         registry = ContextRegistry()
         context = registry.context_for(operator, VOC3, SYMBOLIC)
         psi, mu = parse(psi_text), parse(mu_text)
-        via_context = context.apply(psi, mu)
+        via_context = context.apply_model_sets(models(psi, VOC3), models(mu, VOC3))
         direct = operator.apply(psi, mu, VOC3, impl=SYMBOLIC)
-        assert models(via_context, VOC3) == models(direct, VOC3)
+        assert via_context == models(direct, VOC3)
 
     @pytest.mark.parametrize("psi_text,mu_text", PAIRS)
     def test_backends_agree_model_set_level(self, psi_text, mu_text):
@@ -202,19 +199,6 @@ class TestAnswerIdentity:
         symbolic = registry.context_for(operator, VOC3, SYMBOLIC)
         assert dense.apply_model_sets(psi, mu) == symbolic.apply_model_sets(
             psi, mu
-        )
-
-    def test_merge_model_sets_matches_direct_merge(self):
-        from repro.core.arbitration import ArbitrationOperator
-
-        operator = ArbitrationOperator()
-        registry = ContextRegistry()
-        context = registry.context_for(operator, VOC2, DENSE)
-        sources = [
-            models(parse(text), VOC2) for text in ("a & b", "a & !b", "!a")
-        ]
-        assert context.merge_model_sets(sources) == operator.merge_models(
-            sources
         )
 
 
@@ -305,6 +289,23 @@ class TestSession:
         info = registry.cache_info()
         assert info.misses == 1  # one dalal/ab context built...
         assert info.hits >= 1  # ...and reused by the second session
+
+    def test_session_shares_the_context_rebuilt_after_eviction(self):
+        """Sessions keep no context of their own: once the LRU evicts a
+        context and a later session rebuilds it, an older session's next
+        change is a registry hit on that rebuilt context, so one key never
+        has two live engines."""
+        registry = ContextRegistry(max_contexts=1)
+        s1 = Session("s1", atoms=["a", "b"], registry=registry)
+        s1.revise("a")
+        Session("s2", atoms=["x", "y"], registry=registry).revise("x")
+        Session("s3", atoms=["a", "b"], registry=registry).revise("!a")
+        before = registry.cache_info()
+        assert before.evictions == 2 and before.misses == 3
+        s1.revise("b")
+        after = registry.cache_info()
+        assert after.hits == before.hits + 1
+        assert after.misses == before.misses
 
     def test_state_shape(self):
         session = Session("s", atoms=["a", "b"], formula="a | b")
