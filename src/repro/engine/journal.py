@@ -21,9 +21,10 @@ The durability contract mirrors :class:`repro.soak.SoakJournal`:
     Resuming under any other configuration is refused — the chunk
     indices would mean different scenarios — and so is a torn manifest.
 ``journal.jsonl``
-    One JSON record per completed chunk, appended, flushed, and fsynced.
-    A torn final line (killed mid-write) is silently dropped; mid-file
-    corruption raises.
+    One JSON record per completed chunk, appended and fsynced
+    (:func:`repro.kb.serialize.append_json_lines`).  A torn final line
+    (killed mid-write) is dropped on read and cut off before the next
+    append; mid-file corruption raises.
 
 Only integer-seeded audits are journalable: a shared ``random.Random``
 has no stable identity across processes, so its plan cannot be refused
@@ -256,36 +257,20 @@ class ChunkJournal:
     # -- records -----------------------------------------------------------------
 
     def append_chunk(self, record: dict[str, Any]) -> None:
-        """Durably append one completed-chunk record (flush + fsync)."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Durably append one completed-chunk record (one write + fsync)."""
+        from repro.kb.serialize import append_json_lines
+
+        append_json_lines(str(self.journal_path), [record])
 
     def records(self) -> list[dict[str, Any]]:
         """All intact chunk records, oldest first.
 
-        A torn final line (the process died mid-write) is silently
-        dropped — that chunk was not durably completed; corruption
-        anywhere else raises.
+        A torn final line (the process died mid-write) is dropped — that
+        chunk was not durably completed, and the next append cuts it
+        off; corruption anywhere else raises.
         """
+        from repro.kb.serialize import read_json_lines
+
         if not self.journal_path.is_file():
             return []
-        out: list[dict[str, Any]] = []
-        with open(self.journal_path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for position, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    break
-                raise ReproError(
-                    f"corrupt audit journal record at line {position + 1} "
-                    f"of {self.journal_path}"
-                )
-        return out
+        return read_json_lines(str(self.journal_path), "audit journal record")

@@ -11,6 +11,11 @@ module round-trips the library's semantic objects through plain JSON:
 
 Operators themselves are configuration, not data: loading a knowledge base
 reattaches whatever operators the caller passes (defaults otherwise).
+
+It also holds the two file disciplines the library persists through:
+whole-file replacement (:func:`atomic_write_text`) for snapshots and
+manifests, and append-only JSON lines (:func:`append_json_lines`,
+:func:`read_json_lines`) for journals and session change logs.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.weighted import WeightedKnowledgeBase
 from repro.errors import ReproError
-from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.knowledge_base import ChangeRecord, KnowledgeBase
 from repro.logic.enumeration import form_formula
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import parse
@@ -33,13 +38,20 @@ __all__ = [
     "model_set_from_dict",
     "weighted_kb_to_dict",
     "weighted_kb_from_dict",
+    "change_record_to_dict",
+    "check_change_record",
+    "check_knowledge_base_dict",
     "knowledge_base_to_dict",
     "knowledge_base_from_dict",
     "knowledge_base_to_json",
     "knowledge_base_from_json",
+    "canonical_json",
     "atomic_write_text",
     "save_json_snapshot",
     "load_json_snapshot",
+    "append_json_lines",
+    "decode_json_lines",
+    "read_json_lines",
 ]
 
 _FORMAT_VERSION = 1
@@ -58,6 +70,25 @@ def _check_version(data: dict[str, Any], what: str) -> None:
             f"unsupported {what} format version: found {found!r}, "
             f"expected {_FORMAT_VERSION}"
         )
+
+
+def _require(data: dict[str, Any], field: str, kind: type, what: str) -> Any:
+    """``data[field]`` when it is a ``kind``; a :class:`ReproError`
+    naming the field otherwise (a stored payload is outside input)."""
+    value = data.get(field)
+    if not isinstance(value, kind):
+        raise ReproError(
+            f"malformed {what}: {field!r} must be a {kind.__name__}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
+def _require_masks(data: dict[str, Any], field: str, what: str) -> list:
+    masks = _require(data, field, list, what)
+    if not all(isinstance(mask, int) for mask in masks):
+        raise ReproError(f"malformed {what}: {field!r} must hold integer masks")
+    return masks
 
 
 def model_set_to_dict(model_set: ModelSet) -> dict[str, Any]:
@@ -101,11 +132,15 @@ def weighted_kb_from_dict(data: dict[str, Any]) -> WeightedKnowledgeBase:
             f"not a serialized weighted knowledge base: kind={data.get('kind')!r}"
         )
     _check_version(data, "weighted knowledge base")
-    vocabulary = Vocabulary(data["atoms"])
-    weights = {
-        int(mask): Fraction(weight_text)
-        for mask, weight_text in data["weights"].items()
-    }
+    what = "weighted knowledge base"
+    vocabulary = Vocabulary(_require(data, "atoms", list, what))
+    try:
+        weights = {
+            int(mask): Fraction(weight_text)
+            for mask, weight_text in _require(data, "weights", dict, what).items()
+        }
+    except (TypeError, ValueError, ZeroDivisionError) as error:
+        raise ReproError(f"malformed {what}: bad weight entry: {error}") from error
     return WeightedKnowledgeBase(vocabulary, weights)
 
 
@@ -182,26 +217,155 @@ def load_json_snapshot(path: str, what: str = "snapshot") -> dict[str, Any]:
     return data
 
 
+def canonical_json(value: Any) -> str:
+    """Compact canonical JSON: sorted keys, no whitespace.
+
+    Deterministic, so an unchanged value re-renders byte-identically,
+    and fast: CPython's ``json`` runs its C encoder only when ``indent``
+    is None.
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def append_json_lines(path: str, values: Sequence[Any]) -> None:
+    """Durably append ``values`` to a JSON-lines file, one canonical
+    document per line: one open, one write, one fsync.
+
+    A final line without its newline was torn by a writer that died
+    mid-append, so no one was told it was written: it is cut off first,
+    or the new lines would glue onto it.  If the write or the fsync
+    fails, the file is cut back to where it ended (as far as the file
+    system allows), so the caller's error leaves it as it was.
+    """
+    data = "".join(canonical_json(value) + "\n" for value in values).encode("utf-8")
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end and os.pread(fd, 1, end - 1) != b"\n":
+            end = os.pread(fd, end, 0).rfind(b"\n") + 1
+            os.ftruncate(fd, end)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.fsync(fd)
+        except BaseException:
+            try:
+                os.ftruncate(fd, end)
+            except OSError:
+                pass
+            raise
+    finally:
+        os.close(fd)
+
+
+def decode_json_lines(
+    data: bytes,
+    what: str,
+    path: str,
+    first_line: int = 1,
+    check: Optional[Callable[[Any], None]] = None,
+) -> list[Any]:
+    """Decode the complete lines of JSON-lines bytes, oldest first.
+
+    The final line is dropped unless it ends with its newline (see
+    :func:`append_json_lines`), and blank lines are skipped.  A complete
+    line that does not decode, or that ``check`` refuses, raises a
+    :class:`ReproError` naming ``path`` and the line (numbered from
+    ``first_line``).
+    """
+    values = []
+    lines = data.split(b"\n")[:-1]
+    for number, line in enumerate(lines, first_line):
+        if not line.strip():
+            continue
+        try:
+            value = json.loads(line)
+        except ValueError as error:
+            raise ReproError(
+                f"corrupt {what} at line {number} of {path}: {error}"
+            ) from error
+        if check is not None:
+            try:
+                check(value)
+            except ReproError as error:
+                raise ReproError(
+                    f"bad {what} at line {number} of {path}: {error}"
+                ) from error
+        values.append(value)
+    return values
+
+
+def read_json_lines(path: str, what: str) -> list[Any]:
+    """Every intact record of a JSON-lines file (:func:`decode_json_lines`)."""
+    with open(path, "rb") as handle:
+        return decode_json_lines(handle.read(), what, path)
+
+
+def change_record_to_dict(record: ChangeRecord) -> dict[str, Any]:
+    """One provenance record as plain JSON: an entry of a serialized
+    knowledge base's ``history``, and one line of a session file."""
+    return {
+        "operation": record.operation,
+        "operator": record.operator,
+        "incoming": str(record.incoming),
+        "before": list(record.before.masks),
+        "after": list(record.after.masks),
+    }
+
+
+def check_change_record(entry: Any) -> None:
+    """Refuse an entry that lacks a field of :func:`change_record_to_dict`
+    or holds one of the wrong type."""
+    what = "change record"
+    if not isinstance(entry, dict):
+        raise ReproError(
+            f"malformed {what}: expected an object, got {type(entry).__name__}"
+        )
+    for field in ("operation", "operator", "incoming"):
+        _require(entry, field, str, what)
+    for field in ("before", "after"):
+        _require_masks(entry, field, what)
+
+
+def check_knowledge_base_dict(data: Any) -> None:
+    """Refuse a payload that is not :func:`knowledge_base_to_dict` output
+    of this format version, or whose fields are missing or mistyped."""
+    if not isinstance(data, dict):
+        raise ReproError(
+            "not a serialized knowledge base: expected an object, "
+            f"got {type(data).__name__}"
+        )
+    if data.get("kind") != "knowledge-base":
+        raise ReproError(
+            f"not a serialized knowledge base: kind={data.get('kind')!r}"
+        )
+    _check_version(data, "knowledge base")
+    what = "knowledge base"
+    _require(data, "atoms", list, what)
+    _require_masks(data, "masks", what)
+    if not isinstance(data.get("constraints"), (str, type(None))):
+        raise ReproError(f"malformed {what}: 'constraints' must be a str or null")
+    history = data.get("history", [])
+    if not isinstance(history, list):
+        raise ReproError(f"malformed {what}: 'history' must be a list")
+    for index, entry in enumerate(history):
+        try:
+            check_change_record(entry)
+        except ReproError as error:
+            raise ReproError(f"{error} (history entry {index})") from error
+
+
 def knowledge_base_to_dict(kb: KnowledgeBase) -> dict[str, Any]:
     """Plain-JSON representation of a knowledge base (state + provenance)."""
-    payload = {
+    return {
         "version": _FORMAT_VERSION,
         "kind": "knowledge-base",
         "atoms": list(kb.vocabulary.atoms),
         "masks": list(kb.model_set.masks),
         "constraints": str(kb.constraints) if kb.constraints is not None else None,
-        "history": [
-            {
-                "operation": record.operation,
-                "operator": record.operator,
-                "incoming": str(record.incoming),
-                "before": list(record.before.masks),
-                "after": list(record.after.masks),
-            }
-            for record in kb.history
-        ],
+        "history": [change_record_to_dict(record) for record in kb.history],
     }
-    return payload
 
 
 def knowledge_base_to_json(kb: KnowledgeBase) -> str:
@@ -219,17 +383,13 @@ def knowledge_base_from_dict(
 
     The provenance log is restored as data (it is inspectable but the
     ``before``/``after`` records are not re-derived); operators are
-    reattached from the keyword arguments or library defaults.
+    reattached from the keyword arguments or library defaults.  A
+    payload with a missing or mistyped field is refused with a
+    :class:`ReproError` (:func:`check_knowledge_base_dict`).
     """
-    if data.get("kind") != "knowledge-base":
-        raise ReproError(
-            f"not a serialized knowledge base: kind={data.get('kind')!r}"
-        )
-    _check_version(data, "knowledge base")
+    check_knowledge_base_dict(data)
     vocabulary = Vocabulary(data["atoms"])
     model_set = ModelSet(vocabulary, data["masks"])
-    from repro.kb.knowledge_base import ChangeRecord
-
     history = tuple(
         ChangeRecord(
             operation=entry["operation"],

@@ -4,7 +4,7 @@ An asyncio HTTP/JSON server over the :mod:`repro.session` core: per-client
 knowledge-base sessions on shared execution contexts, work-conserving
 arrival-ordered batches on one worker thread, bounded-queue admission
 control with 429 shedding,
-and atomic snapshot persistence so sessions survive restarts.  Stdlib
+and an append-only session store so sessions survive restarts.  Stdlib
 only — see ``docs/serving.md`` for the protocol and operational story.
 """
 

@@ -16,10 +16,12 @@ Architecture (``docs/serving.md`` has the full picture):
   which costs throughput under load.  One worker means session state
   needs no locks: the event loop only parses, frames, and awaits
   futures.
-* **Persistence** — with a store configured, every mutating query
-  snapshots its session atomically; an unknown id is loaded from the
-  store on first touch, so a restarted server resumes exactly where the
-  snapshots say (byte-identically — the restart tests pin it).
+* **Persistence** — with a store configured, every mutating query is
+  made durable (its change record appended and fsynced to the session's
+  file, :mod:`repro.serve.store`) before it is answered; an unknown id
+  is loaded from the store on first touch, so a restarted server resumes
+  exactly where the files say (byte-identically — the restart tests pin
+  it).
 
 All ``serve.*`` metrics flow through the ambient :mod:`repro.obs`
 session; the server never forces observability on (``run_server`` — the

@@ -399,10 +399,13 @@ class WeightedSession:
         from repro.kb.serialize import weighted_kb_from_dict
 
         wkb = weighted_kb_from_dict(data["kb"])
+        steps = data.get("steps", 0)
+        if not isinstance(steps, int):
+            raise ReproError(f"'steps' must be an integer, got {type(steps).__name__}")
         session = cls(
             data["id"], atoms=list(wkb.vocabulary.atoms), _wkb=wkb
         )
-        session._steps = int(data.get("steps", 0))
+        session._steps = steps
         return session
 
     def __repr__(self) -> str:

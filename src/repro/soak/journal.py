@@ -15,21 +15,26 @@ Layout under the journal directory:
     other config is refused — every field changes either the draws or
     the check schedule — and so is a torn manifest.
 ``journal.jsonl``
-    One JSON record per *completed* chunk, appended and fsynced.  A kill
-    mid-chunk loses at most the partial chunk: resume restarts from the
-    last boundary and re-draws it identically.  A torn final line (killed
-    mid-write) is detected and ignored.
+    One JSON record per *completed* chunk, appended and fsynced
+    (:func:`repro.kb.serialize.append_json_lines`).  A kill mid-chunk
+    loses at most the partial chunk: resume restarts from the last
+    boundary and re-draws it identically.  A torn final line (killed
+    mid-write) is dropped on read and cut off before the next append.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any, Optional
 
 from repro.errors import ReproError
-from repro.kb.serialize import load_json_snapshot, save_json_snapshot
+from repro.kb.serialize import (
+    append_json_lines,
+    load_json_snapshot,
+    read_json_lines,
+    save_json_snapshot,
+)
 from repro.soak.stream import SoakConfig
 
 __all__ = [
@@ -117,38 +122,19 @@ class SoakJournal:
     # -- records --------------------------------------------------------------------
 
     def append_chunk(self, record: dict[str, Any]) -> None:
-        """Durably append one completed-chunk record."""
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Durably append one completed-chunk record (one write + fsync)."""
+        append_json_lines(str(self.journal_path), [record])
 
     def records(self) -> list[dict[str, Any]]:
         """All intact chunk records, oldest first.
 
-        A torn final line (the process died mid-write) is silently
-        dropped — the chunk it described was not durably completed.
+        A torn final line (the process died mid-write) is dropped — the
+        chunk it described was not durably completed, and the next
+        append cuts it off; corruption anywhere else raises.
         """
         if not self.journal_path.is_file():
             return []
-        out: list[dict[str, Any]] = []
-        with open(self.journal_path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-        for position, line in enumerate(lines):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError:
-                if position == len(lines) - 1:
-                    break
-                raise ReproError(
-                    f"corrupt soak journal record at line {position + 1} "
-                    f"of {self.journal_path}"
-                )
-        return out
+        return read_json_lines(str(self.journal_path), "soak journal record")
 
     def last_record(self) -> Optional[dict[str, Any]]:
         """The newest intact chunk record, or ``None`` for a fresh journal."""

@@ -262,3 +262,46 @@ class TestAtomicSnapshots:
     def test_corrupt_json_string_refused(self):
         with pytest.raises(ReproError, match="corrupt or truncated"):
             knowledge_base_from_json('{"kind": "knowledge-base", "versi')
+
+
+class TestJsonLines:
+    """The append-only JSON-lines discipline journals and session files share."""
+
+    def test_torn_tail_dropped_on_read_and_cut_before_append(self, tmp_path):
+        from repro.kb.serialize import append_json_lines, read_json_lines
+
+        path = str(tmp_path / "log.jsonl")
+        append_json_lines(path, [{"n": 0}, {"n": 1}])
+        with open(path, "ab") as handle:
+            handle.write(b'{"n": 2')  # a writer died mid-append
+        assert read_json_lines(path, "record") == [{"n": 0}, {"n": 1}]
+        append_json_lines(path, [{"n": 3}])
+        assert read_json_lines(path, "record") == [{"n": 0}, {"n": 1}, {"n": 3}]
+        with open(path, "rb") as handle:
+            assert handle.read() == b'{"n":0}\n{"n":1}\n{"n":3}\n'
+
+    def test_complete_undecodable_line_refused_with_its_number(self, tmp_path):
+        from repro.kb.serialize import read_json_lines
+
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(b'{"n":0}\n{"n":\n{"n":2}\n')
+        with pytest.raises(ReproError, match="line 2 of"):
+            read_json_lines(str(path), "record")
+
+    def test_failed_fsync_cuts_the_append_back_off(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.kb.serialize import append_json_lines
+
+        path = tmp_path / "log.jsonl"
+        append_json_lines(str(path), [{"n": 0}])
+        before = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("I/O error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="I/O error"):
+            append_json_lines(str(path), [{"n": 1}])
+        monkeypatch.undo()
+        assert path.read_bytes() == before

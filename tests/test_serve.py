@@ -11,6 +11,7 @@ import asyncio
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -24,7 +25,7 @@ import pytest
 from repro import obs
 from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.serialize import save_json_snapshot
+from repro.kb.serialize import canonical_json, change_record_to_dict, save_json_snapshot
 from repro.logic.parser import MAX_FORMULA_DEPTH
 from repro.logic.random_formulas import random_satisfiable_formula, random_vocabulary
 from repro.serve import (
@@ -987,6 +988,300 @@ class TestPersistence:
             handle.write(complete[: len(complete) // 2])  # simulate a tear
         with pytest.raises(ReproError, match="corrupt or truncated"):
             store.load("t", registry=ContextRegistry())
+
+
+#: A short mixed script over ``LOG_ATOMS``: every persisted verb once.
+LOG_ATOMS = ["a", "b", "c"]
+LOG_SCRIPT = [
+    ("revise", "!a"),
+    ("update", "c"),
+    ("arbitrate", "!b"),
+    ("fit", "a | c"),
+    ("merge", ["a", "!c"]),
+]
+
+
+def log_session(steps: int) -> Session:
+    """The in-process replay of the first ``steps`` of ``LOG_SCRIPT``."""
+    session = Session("log", atoms=LOG_ATOMS, formula="a & b", registry=ContextRegistry())
+    for op, argument in LOG_SCRIPT[:steps]:
+        getattr(session, op)(argument)
+    return session
+
+
+def damaged_log(store_dir: Path, line: int, edit) -> Path:
+    """A session file whose base line holds one change record and whose
+    second line appends another; ``edit`` rewrites the decoded ``line``."""
+    session = log_session(1)
+    store = SessionStore(str(store_dir))
+    store.save(session)  # a store that never saw it writes the whole file
+    session.update("c")
+    path = Path(store.save(session))  # then appends one line
+    lines = path.read_bytes().splitlines()
+    assert len(lines) == 2
+    lines[line - 1] = json.dumps(edit(json.loads(lines[line - 1]))).encode()
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path
+
+
+_DELETE = object()
+
+
+def _edit(*path, value=_DELETE):
+    """An edit that sets the field at ``path`` to ``value``, or deletes it."""
+
+    def edit(data):
+        *parents, field = path
+        target = data
+        for key in parents:
+            target = target[key]
+        if value is _DELETE:
+            del target[field]
+        else:
+            target[field] = value
+        return data
+
+    return edit
+
+
+#: ``(line, edit)``: the malformed-snapshot edits of the base line, then
+#: the same damage in the appended change record on line 2.
+MALFORMED_LOGS = {
+    "no-kb": (1, _edit("kb")),
+    "no-masks": (1, _edit("kb", "masks")),
+    "no-atoms": (1, _edit("kb", "atoms")),
+    "list-kb": (1, _edit("kb", value=[])),
+    "string-masks": (1, _edit("kb", "masks", value="0,1")),
+    "entry-without-operation": (1, _edit("kb", "history", 0, "operation")),
+    "record-without-operation": (2, _edit("operation")),
+    "record-without-after": (2, _edit("after")),
+    "record-without-incoming": (2, _edit("incoming")),
+    "list-record": (2, lambda record: [record]),
+    "string-after": (2, _edit("after", value="0,1")),
+    "string-before": (2, _edit("before", value="0,1")),
+}
+
+
+class TestSessionLog:
+    """The log-structured session file: appends, recovery, refusals."""
+
+    def test_each_change_appends_one_line_after_the_create_snapshot(self, tmp_path):
+        store = SessionStore(str(tmp_path))
+        session = log_session(0)
+        path = Path(store.save(session))
+        create_line = path.read_bytes()
+        for op, argument in LOG_SCRIPT:
+            getattr(session, op)(argument)
+            store.save(session)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines[0] == create_line
+        assert [json.loads(line) for line in lines[1:]] == [
+            change_record_to_dict(record) for record in session.kb.history
+        ]
+        loaded = SessionStore(str(tmp_path)).load("log", registry=ContextRegistry())
+        assert loaded.to_payload() == session.to_payload()
+
+    @pytest.mark.parametrize("written", [0, 2])
+    def test_a_session_the_store_did_not_write_is_rewritten_whole(
+        self, tmp_path, written
+    ):
+        store = SessionStore(str(tmp_path))
+        store.save(log_session(written))
+        other = Session("log", atoms=["a", "b"], formula="!a", registry=ContextRegistry())
+        other.revise("b")  # same id, but not the session the file holds
+        store.save(other)
+        loaded = SessionStore(str(tmp_path)).load("log", registry=ContextRegistry())
+        assert loaded.to_payload() == other.to_payload()
+
+    def test_every_cut_loads_a_prefix_or_is_refused(self, tmp_path):
+        store_dir = tmp_path / "store"
+        store = SessionStore(str(store_dir))
+        session = log_session(0)
+        path = Path(store.save(session))
+        for op, argument in LOG_SCRIPT:
+            getattr(session, op)(argument)
+            store.save(session)
+        complete = path.read_bytes()
+        ends = [index + 1 for index, byte in enumerate(complete) if byte == ord("\n")]
+        assert len(ends) == 1 + len(LOG_SCRIPT)
+        for cut in range(len(complete) + 1):
+            path.write_bytes(complete[:cut])
+            fresh = SessionStore(str(store_dir))
+            if cut < ends[0] - 1:  # inside the base line
+                with pytest.raises(ReproError, match="corrupt or truncated"):
+                    fresh.load("log", registry=ContextRegistry())
+                continue
+            kept = sum(1 for end in ends[1:] if end <= cut)  # whole records
+            loaded = fresh.load("log", registry=ContextRegistry())
+            expected = log_session(kept)
+            assert loaded.to_payload() == expected.to_payload(), cut
+            loaded.revise("b & !c")
+            expected.revise("b & !c")
+            fresh.save(loaded)
+            reloaded = SessionStore(str(store_dir)).load("log", registry=ContextRegistry())
+            assert reloaded.to_payload() == expected.to_payload(), cut
+            data = path.read_bytes()
+            if cut >= ends[0]:  # the torn tail was cut off, one line appended
+                assert data[: ends[kept]] == complete[: ends[kept]], cut
+                assert data.count(b"\n") == kept + 2, cut
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
+    def test_malformed_line_is_refused_naming_it(self, tmp_path, case):
+        line, edit = MALFORMED_LOGS[case]
+        store_dir = tmp_path / "store"
+        path = damaged_log(store_dir, line, edit)
+        with pytest.raises(ReproError, match=re.escape(f"line {line} of {path}")):
+            SessionStore(str(store_dir)).load("log", registry=ContextRegistry())
+
+        async def main():
+            config = ServeConfig(port=0, store_dir=str(store_dir))
+            async with serve(config) as (_, client):
+                return await client.request("GET", "/v1/sessions/log")
+
+        status, body = run(main())
+        assert status == 400, body
+        assert body["ok"] is False and f"line {line}" in body["error"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _edit("steps", value="two"),
+            _edit("kb", "atoms"),
+            _edit("kb", "weights", value={"x": "1/1"}),
+            _edit("kb", "weights", value={"1": "1/0"}),
+        ],
+        ids=["string-steps", "no-atoms", "bad-mask", "zero-denominator"],
+    )
+    def test_malformed_weighted_snapshot_is_refused(self, tmp_path, edit):
+        store_dir = tmp_path / "store"
+        session = WeightedSession("w", atoms=["a", "b"], formula="a")
+        path = Path(SessionStore(str(store_dir)).save(session))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))) + "\n")
+        with pytest.raises(ReproError, match=re.escape(str(path))):
+            SessionStore(str(store_dir)).load("w")
+
+        async def main():
+            config = ServeConfig(port=0, store_dir=str(store_dir))
+            async with serve(config) as (_, client):
+                return await client.request("GET", "/v1/sessions/w")
+
+        status, body = run(main())
+        assert status == 400, body
+
+    def test_failed_append_rolls_back_and_the_next_appends_cleanly(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.serve import store as store_module
+
+        store_dir = tmp_path / "store"
+        real_append = store_module.append_json_lines
+
+        def torn_append(path, values):
+            data = "".join(canonical_json(value) + "\n" for value in values)
+            with open(path, "a", encoding="utf-8") as handle:
+                handle.write(data[: len(data) // 2])  # the disk filled mid-write
+            raise OSError("disk full")
+
+        async def main():
+            config = ServeConfig(port=0, store_dir=str(store_dir))
+            async with serve(config) as (_, client):
+                body = {"id": "log", "atoms": LOG_ATOMS, "formula": "a & b"}
+                await client.request("POST", "/v1/sessions", body)
+                query = "/v1/sessions/log/query"
+                await client.request("POST", query, {"op": "revise", "formula": "!a"})
+                before = await client.request("GET", "/v1/sessions/log")
+                monkeypatch.setattr(store_module, "append_json_lines", torn_append)
+                failed = await client.request(
+                    "POST", query, {"op": "update", "formula": "b"}
+                )
+                monkeypatch.setattr(store_module, "append_json_lines", real_append)
+                after = await client.request("GET", "/v1/sessions/log")
+                retried = await client.request(
+                    "POST", query, {"op": "update", "formula": "c"}
+                )
+                return before, failed, after, retried
+
+        before, failed, after, retried = run(main())
+        assert failed[0] == 500 and "rolled back" in failed[1]["error"]
+        assert after == before  # reloaded: the torn line was never acknowledged
+        expected = log_session(2)
+        assert retried == (200, {"ok": True, "op": "update", "session": expected.state()})
+        path = store_dir / "log.json"
+        assert path.read_bytes().count(b"\n") == 3  # base + two whole records
+        loaded = SessionStore(str(store_dir)).load("log", registry=ContextRegistry())
+        assert loaded.to_payload() == expected.to_payload()
+
+    def test_sigkill_keeps_every_acknowledged_mutation(self, tmp_path):
+        import http.client
+
+        rng = random.Random(18)
+        vocabulary = random_vocabulary(4)
+        atoms = list(vocabulary.atoms)
+        initial, script = client_script(18, vocabulary, rounds=3)
+        bodies = [body for body in script if body["op"] != "ask"]
+        kills = sorted(rng.sample(range(1, len(bodies) - 1), 3))
+        store_dir = str(tmp_path / "store")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+
+        def start():
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--port", "0",
+                 "--store", store_dir],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+            )
+            banner = process.stdout.readline().strip()
+            assert banner.startswith("serve: listening on "), banner
+            return process, int(banner.rsplit(":", 1)[1])
+
+        def kill(process):
+            process.kill()
+            process.wait(timeout=30)
+            process.stdout.close()
+
+        def send(port, method, path, body=None):
+            connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            connection.request(method, path, body=json.dumps(body) if body else None)
+            return connection
+
+        def call(port, method, path, body=None):
+            connection = send(port, method, path, body)
+            response = connection.getresponse()
+            reply = (response.status, json.loads(response.read()))
+            connection.close()
+            return reply
+
+        def replayed(applied):
+            store = SessionStore(str(tmp_path / f"replay-{len(applied)}"))
+            return replay_script("killed", atoms, initial, applied, store)[1].state()
+
+        process, port = start()
+        try:
+            create = {"id": "killed", "atoms": atoms, "formula": initial}
+            assert call(port, "POST", "/v1/sessions", create)[0] == 201
+            acknowledged: list[dict] = []
+            position = 0
+            for kill_at in kills:
+                for body in bodies[position:kill_at]:
+                    status, _ = call(port, "POST", "/v1/sessions/killed/query", body)
+                    assert status == 200
+                    acknowledged.append(body)
+                in_flight = bodies[kill_at]
+                connection = send(port, "POST", "/v1/sessions/killed/query", in_flight)
+                time.sleep(rng.choice([0.0, 0.002, 0.01]))
+                kill(process)
+                connection.close()
+                position = kill_at + 1
+
+                process, port = start()
+                status, reply = call(port, "GET", "/v1/sessions/killed")
+                assert status == 200
+                candidates = [replayed(acknowledged), replayed(acknowledged + [in_flight])]
+                assert reply["session"] in candidates, kill_at
+                if reply["session"] == candidates[1] != candidates[0]:
+                    acknowledged.append(in_flight)
+        finally:
+            kill(process)
 
 
 class TestServeCommand:

@@ -377,6 +377,20 @@ class TestChunkJournal:
         with pytest.raises(ReproError):
             journal.records()
 
+    def test_append_after_torn_final_line_cuts_it_off(self, tmp_path):
+        # a resumed run appends after a kill's torn line: the new records
+        # must not glue onto the fragment
+        journal = ChunkJournal(tmp_path / "j")
+        journal.initialize(manifest_for(tmp_path))
+        for ordinal in range(2):
+            journal.append_chunk({"unit": 0, "ordinal": ordinal, "start": 0})
+        with open(journal.journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"unit": 0, "ordi')  # torn by a kill mid-write
+        assert [record["ordinal"] for record in journal.records()] == [0, 1]
+        for ordinal in (2, 3):
+            journal.append_chunk({"unit": 0, "ordinal": ordinal, "start": 0})
+        assert [record["ordinal"] for record in journal.records()] == [0, 1, 2, 3]
+
 
 class TestJournaledAudit:
     def test_serial_and_unseeded_refused(self, tmp_path):

@@ -137,6 +137,21 @@ class TestJournal:
         assert [record["ordinal"] for record in records] == [0]
         assert journal.last_record()["step"] == 4
 
+    def test_append_after_torn_final_line_cuts_it_off(self, tmp_path):
+        # a resumed run appends after a kill's torn line: the new records
+        # must not glue onto the fragment
+        journal = SoakJournal(tmp_path / "j")
+        journal.initialize(SoakConfig(steps=10))
+        for ordinal in range(2):
+            journal.append_chunk({"ordinal": ordinal, "step": 4 * ordinal})
+        with open(journal.journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"ordinal": 2, "ste')  # killed mid-write
+        assert journal.last_record()["ordinal"] == 1
+        for ordinal in (2, 3):
+            journal.append_chunk({"ordinal": ordinal, "step": 4 * ordinal})
+        assert [record["ordinal"] for record in journal.records()] == [0, 1, 2, 3]
+        assert journal.last_record()["step"] == 12
+
     def test_mid_file_corruption_raises(self, tmp_path):
         journal = SoakJournal(tmp_path / "j")
         journal.initialize(SoakConfig(steps=10))
