@@ -1,7 +1,7 @@
 """E7 audit engine benchmark: serial vs parallel postulate matrices.
 
 Times :func:`repro.postulates.matrix.compute_matrix` twice on identical
-inputs — ``jobs=1`` (the legacy scalar harness loop) and ``jobs=N`` (the
+inputs — ``jobs=1`` (the in-process harness loop) and ``jobs=N`` (the
 process-pool batched engine) — asserts the two matrices are checksum-equal,
 and snapshots the speedup to ``BENCH_e7_audit.json`` so future PRs can
 track the trajectory.

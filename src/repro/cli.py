@@ -32,6 +32,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import Optional, Sequence
 
@@ -63,7 +64,7 @@ from repro.postulates.weighted_axioms import (
     audit_weighted_operator,
     render_weighted_audit,
 )
-from repro.symbolic import ensure_symbolic_roster, supports_symbolic
+from repro.symbolic import supports_symbolic
 
 __all__ = ["main"]
 
@@ -191,34 +192,17 @@ def _weighted_audit_operators(wanted: Optional[Sequence[str]]):
     return operators
 
 
-def _cmd_audit(args, out) -> int:
-    vocabulary = Vocabulary(
-        [chr(ord("a") + index) for index in range(args.atoms_count)]
-    )
-    symbolic = args.impl == "symbolic"
-    if symbolic and args.weighted:
-        raise ReproError(
-            "--impl symbolic does not support --weighted "
-            "(weighted audits are dense-only)"
-        )
-    if args.weighted:
-        return _cmd_audit_weighted(args, vocabulary, out)
-    if symbolic and (args.jobs > 1 or args.shm or args.journal or args.resume):
-        raise ReproError(
-            "--impl symbolic is serial and in-process: drop "
-            "--jobs/--shm/--journal/--resume"
-        )
+def _audit_operators(wanted: Optional[Sequence[str]], impl: str, out) -> list:
+    """The Boolean audit roster: the standard operators, or the named
+    ones.  Without names, a symbolic audit keeps the symbolic-capable
+    subset and says what it skipped."""
     operators = standard_operators()
-    if args.operator:
-        wanted = set(args.operator)
-        operators = [op for op in operators if op.name in wanted]
+    if wanted:
+        names = set(wanted)
+        operators = [op for op in operators if op.name in names]
         if not operators:
-            raise ReproError(f"no such operators: {sorted(wanted)}")
-        if symbolic:
-            # Explicitly named operators must all have symbolic executions.
-            ensure_symbolic_roster(operators)
-    elif symbolic:
-        # Default roster: audit the symbolic-capable subset, say what's skipped.
+            raise ReproError(f"no such operators: {sorted(names)}")
+    elif impl == "symbolic":
         skipped = [op.name for op in operators if not supports_symbolic(op)]
         operators = [op for op in operators if supports_symbolic(op)]
         if skipped:
@@ -227,100 +211,75 @@ def _cmd_audit(args, out) -> int:
                 + ", ".join(skipped),
                 file=out,
             )
-    if args.resume and not args.journal:
-        raise ReproError("--resume requires --journal DIR")
-    observe = args.stats or args.metrics_out
-    if not observe:
-        matrix = compute_matrix(
-            operators,
-            vocabulary,
-            max_scenarios=args.scenarios,
-            jobs=args.jobs,
-            chunk_timeout=args.chunk_timeout,
-            max_retries=args.max_retries,
-            shm=args.shm,
-            journal_dir=args.journal,
-            resume=args.resume,
-            impl=args.impl,
-        )
-        print(render_matrix(matrix), file=out)
-        return 0
-    with obs.use() as registry:
-        matrix = compute_matrix(
-            operators,
-            vocabulary,
-            max_scenarios=args.scenarios,
-            jobs=args.jobs,
-            chunk_timeout=args.chunk_timeout,
-            max_retries=args.max_retries,
-            shm=args.shm,
-            journal_dir=args.journal,
-            resume=args.resume,
-            impl=args.impl,
-        )
-        payload = obs.metrics_payload(registry)
-    print(render_matrix(matrix), file=out)
-    if args.stats:
-        print(file=out)
-        print(obs.render_metrics(payload), file=out)
-    if args.metrics_out:
-        import json
-
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return 0
+    return operators
 
 
-def _cmd_audit_weighted(args, vocabulary, out) -> int:
-    """F1–F8 audit of the weighted operators through the audit engine."""
-    if args.journal:
-        raise ReproError(
-            "--journal is not supported for weighted audits: the weighted "
-            "sweep has no resumable chunk journal (drop --weighted or "
-            "--journal)"
-        )
-    operators = _weighted_audit_operators(args.operator)
-    observe = args.stats or args.metrics_out
-    payload = None
-    if observe:
-        with obs.use() as registry:
-            results = {
-                operator.name: audit_weighted_operator(
-                    operator,
-                    vocabulary,
-                    scenarios=args.scenarios,
-                    jobs=args.jobs,
-                    chunk_timeout=args.chunk_timeout,
-                    max_retries=args.max_retries,
-                    shm=args.shm,
-                )
-                for operator in operators
-            }
-            payload = obs.metrics_payload(registry)
+def _cmd_audit(args, out) -> int:
+    """One sweep, observed when ``--stats`` or ``--metrics-out`` asks.
+    The engine refuses what does not apply, except the flags the weighted
+    engine has no parameter for."""
+    vocabulary = Vocabulary(
+        [chr(ord("a") + index) for index in range(args.atoms_count)]
+    )
+    if args.weighted:
+        if args.impl == "symbolic":
+            raise ReproError(
+                "--impl symbolic does not support --weighted "
+                "(weighted audits are dense-only)"
+            )
+        if args.journal or args.resume:
+            raise ReproError(
+                "--journal/--resume are not supported for weighted audits: "
+                "the weighted sweep has no resumable chunk journal (drop "
+                "--weighted or --journal/--resume)"
+            )
+        weighted_operators = _weighted_audit_operators(args.operator)
+
+        def sweep() -> str:
+            return render_weighted_audit(
+                {
+                    operator.name: audit_weighted_operator(
+                        operator,
+                        vocabulary,
+                        scenarios=args.scenarios,
+                        jobs=args.jobs,
+                        chunk_timeout=args.chunk_timeout,
+                        max_retries=args.max_retries,
+                        shm=args.shm,
+                    )
+                    for operator in weighted_operators
+                }
+            )
+
     else:
-        results = {
-            operator.name: audit_weighted_operator(
-                operator,
+        operators = _audit_operators(args.operator, args.impl, out)
+
+        def sweep() -> str:
+            matrix = compute_matrix(
+                operators,
                 vocabulary,
-                scenarios=args.scenarios,
+                max_scenarios=args.scenarios,
                 jobs=args.jobs,
                 chunk_timeout=args.chunk_timeout,
                 max_retries=args.max_retries,
                 shm=args.shm,
+                journal_dir=args.journal,
+                resume=args.resume,
+                impl=args.impl,
             )
-            for operator in operators
-        }
-    print(render_weighted_audit(results), file=out)
-    if args.stats and payload is not None:
+            return render_matrix(matrix)
+
+    observe = args.stats or args.metrics_out
+    with obs.use() if observe else contextlib.nullcontext() as registry:
+        table = sweep()
+        if args.metrics_out:
+            payload = obs.write_metrics(args.metrics_out, registry)
+        elif args.stats:
+            payload = obs.metrics_payload(registry)
+    print(table, file=out)
+    if args.stats:
         print(file=out)
         print(obs.render_metrics(payload), file=out)
-    if args.metrics_out and payload is not None:
-        import json
-
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
     return 0
 
 
@@ -456,6 +415,13 @@ def _cmd_shell(args, out) -> int:
     return 0
 
 
+def _job_count(text: str) -> int:
+    """``--jobs``: at least 1, or argparse exits with a usage error (2)."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -510,9 +476,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=1,
-        help="audit worker processes (1 = serial legacy path)",
+        help="audit worker processes, at least 1 (1 = in-process loop)",
     )
     audit_parser.add_argument(
         "--chunk-timeout",
@@ -584,9 +550,9 @@ def _build_parser() -> argparse.ArgumentParser:
     stats_parser.add_argument("--scenarios", type=int, default=500)
     stats_parser.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=1,
-        help="audit worker processes (1 = serial legacy path)",
+        help="audit worker processes, at least 1 (1 = in-process loop)",
     )
     stats_parser.add_argument(
         "--json", action="store_true", help="emit JSON instead of text"

@@ -10,13 +10,13 @@ audit checks; this package makes the checking fast:
   numpy bitmask formulas, one per axiom;
 * :mod:`repro.engine.chunks` — deterministic chunking of scenario spaces
   (index ranges for enumeration, captured RNG states for sampling);
-* :mod:`repro.engine.pool` — the one chunked sweep runner: process-pool
-  fan-out with a deterministic min-global-index merge, early cancellation
-  under ``stop_at_first``, the shared-memory arena, the resilience ladder,
-  the worker-metrics fold, and a serial fallback bit-identical to the
-  legacy loop.  It runs with one of two chunk evaluators — the Boolean
-  A1–A8 evaluator here, the weighted F1–F8 one in
-  :mod:`repro.engine.weighted`;
+* :mod:`repro.engine.pool` — the single entry for Boolean sweeps and
+  the one chunked sweep runner: process-pool fan-out with a
+  deterministic min-global-index merge, early cancellation under
+  ``stop_at_first``, the shared-memory arena, the resilience ladder, the
+  worker-metrics fold, and the in-process loop it is bit-identical to.
+  It runs with one of two chunk evaluators — the Boolean A1–A8 evaluator
+  here, the weighted F1–F8 one in :mod:`repro.engine.weighted`;
 * :mod:`repro.engine.resilience` — the fault-tolerance ladder under the
   fan-out: per-chunk timeouts, bounded retry with backoff, broken-pool
   respawn, and parent-side serial degradation, reported per audit as a
@@ -37,12 +37,13 @@ audit checks; this package makes the checking fast:
   disk and a killed sweep resumes to a cell-identical matrix.  Boolean
   sweeps only: ``repro audit --weighted --journal`` is refused.
 
-Entry points: :func:`run_audit` for operator × axiom sweeps (used by
-``repro.postulates.harness.check_axiom(jobs=...)``,
-``repro.postulates.matrix.compute_matrix(jobs=...)`` and the CLI's
-``repro audit --jobs``) and :func:`run_weighted_audit` for F1–F8 sweeps
-of one weighted operator (used by ``check_weighted_axiom(jobs=...)``,
-``audit_weighted_operator(jobs=...)`` and ``repro audit --weighted``).
+Entry points, one per representation, at every job count:
+:func:`run_audit` for operator × axiom sweeps, dense or symbolic
+(``check_axiom``, ``audit_operator``, ``compute_matrix``, their symbolic
+mirrors and ``repro audit`` are one call of it each), and
+:func:`run_weighted_audit` for F1–F8 sweeps of one weighted operator
+(``check_weighted_axiom``, ``audit_weighted_operator`` and ``repro audit
+--weighted``).
 """
 
 from repro.engine.batched import (

@@ -89,10 +89,11 @@ def sample_scenario_bits(
 ) -> list[tuple[int, ...]]:
     """``count`` sampled scenarios as tuples of knowledge-base bit-vectors.
 
-    Draws exactly the same stream values, in the same order — including
-    the mid-scenario rejection of empty knowledge bases when excluded — as
-    the harness's ``sampled_scenarios``, so planning-time fast-forwarding
-    and worker-side regeneration stay aligned with the legacy serial loop.
+    The one definition of the Boolean sampling stream, including the
+    mid-scenario rejection of empty knowledge bases when excluded: the
+    harness's ``sampled_scenarios`` draws through it one scenario at a
+    time, and planning-time fast-forwarding and worker-side regeneration
+    draw through it chunk by chunk, so all three stay aligned.
     """
     out: list[tuple[int, ...]] = []
     while len(out) < count:
@@ -122,9 +123,9 @@ def plan_scenarios(
     Enumerates when the full space fits in ``exhaustive_limit`` tuples
     (truncating enumeration at ``max_scenarios``; the plan is marked
     ``exhaustive`` only when nothing was cut), otherwise samples
-    ``max_scenarios`` tuples.  When ``rng`` is a ``Random`` instance the
-    planner consumes it exactly as the serial harness would, so a caller
-    sharing one stream across several plans stays reproducible.
+    ``max_scenarios`` tuples.  A ``Random`` instance is consumed
+    ``max_scenarios`` scenarios deep, up front; the audit engine passes a
+    fresh one per cell.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")

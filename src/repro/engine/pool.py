@@ -1,6 +1,9 @@
-"""Process-pool fan-out for postulate audits.
+"""Postulate audits: the single entry point and its process-pool fan-out.
 
-The engine turns an audit — every (operator, axiom) pair over one
+Every Boolean sweep, dense or symbolic, from ``check_axiom`` to ``repro
+audit``, is one :func:`run_audit` call, which checks the request once and
+then runs the pool or its in-process loop.  The engine turns a pooled
+audit — every (operator, axiom) pair over one
 vocabulary — into chunk-level work units (:mod:`repro.engine.chunks`),
 ships the operator roster to pool workers once via the pool initializer,
 and evaluates each chunk with the batched machinery
@@ -20,19 +23,17 @@ Determinism is the design constraint, parallelism the payoff:
   states), so the merged verdicts do not depend on completion order;
 * the reported counterexample is the one at the *smallest* global
   scenario index — with ``stop_at_first`` the merge also reports
-  ``scenarios_checked`` as that index + 1, exactly what the serial loop
-  would have counted;
+  ``scenarios_checked`` as that index + 1, exactly what the in-process
+  loop would have counted;
 * early cancellation under ``stop_at_first`` only ever cancels chunks
   whose first scenario lies *after* the best failure seen so far, so no
   potentially-earlier counterexample is abandoned.
 
-``jobs=1`` never touches the pool or the batched evaluator: it routes
-through the legacy scalar harness loop and is bit-identical to it by
-construction — including when ``rng`` is a shared ``random.Random``,
-which the serial path consumes exactly as a sequence of direct
-``check_axiom`` calls would (no planning fast-forward).  Operators that
-fail to pickle degrade to the same serial path with a warning rather than
-an error.
+``jobs=1`` never touches the pool or the batched evaluator: it runs
+:func:`repro.postulates.harness.check_cell` per cell, and is the only
+route that takes a shared ``random.Random``, which it draws lazily, cell
+after cell.  Operators that fail to pickle degrade to the same loop with
+a warning rather than an error.
 
 Fault tolerance is delegated to :mod:`repro.engine.resilience`: chunks
 that raise are retried with backoff, hung chunks are reaped via
@@ -593,12 +594,9 @@ def _run_sweep(
 
     Fills ``outcome.stats`` / ``outcome.failures`` and returns the merged
     units.  Returns ``None`` — before planning, so a caller-owned
-    ``random.Random`` is still untouched — when the caller must run its
-    serial loop instead: at ``jobs=1``, or when the roster does not
-    pickle.
+    ``random.Random`` is still untouched — when the roster does not
+    pickle, and the caller must run its in-process loop instead.
     """
-    if jobs == 1:
-        return None
     prefix = f"engine.{kind}"
     label = kind.replace("_", " ") + "audit engine"
     # One serialization per run: these bytes are reused verbatim — inside
@@ -791,20 +789,15 @@ def _plan_units(
     axioms: Sequence[Axiom],
     vocabulary: Vocabulary,
     max_scenarios: int,
-    rng: int | random.Random,
+    seed: int,
     chunk_size: int,
 ) -> list[_Unit]:
-    """Plan every (operator, axiom) audit in the legacy iteration order.
-
-    An integer seed builds a fresh stream per unit — matching the serial
-    harness, where each ``check_axiom`` call seeds its own generator — and
-    a shared ``Random`` instance is consumed sequentially in this same
-    order, again matching a serial sweep.
-    """
+    """Plan every (operator, axiom) audit in roster order, each on a fresh
+    stream from ``seed``, as the in-process loop seeds each cell."""
     units: list[_Unit] = []
     for op_index, operator in enumerate(operators):
         for axiom in axioms:
-            generator = random.Random(rng) if isinstance(rng, int) else rng
+            generator = random.Random(seed)
             plan = plan_scenarios(
                 vocabulary, len(axiom.roles), max_scenarios, generator, chunk_size
             )
@@ -825,37 +818,35 @@ def _chunk_task(unit_id: int, unit: _Unit, chunk: ChunkSpec) -> ChunkTask:
     )
 
 
-def _serial_audit(
+def _audit_in_process(
     operators: Sequence[TheoryChangeOperator],
     axioms: Sequence[Axiom],
     vocabulary: Vocabulary,
     max_scenarios: int,
     rng: int | random.Random,
     stop_at_first: bool,
+    impl: str,
 ) -> AuditOutcome:
-    """The pure-serial fallback: the legacy scalar loop, pair by pair.
-
-    Takes the roster directly — *not* pre-planned units — because
-    planning fast-forwards a shared ``Random``; consuming the stream here
-    a second time would diverge from direct ``check_axiom`` calls.
-    """
-    from repro.postulates.harness import check_axiom
+    """The in-process loop: :func:`repro.postulates.harness.check_cell`
+    per (operator, axiom) cell.  Takes the roster, not planned units,
+    because planning would draw a shared ``Random`` ahead of the loop."""
+    from repro.postulates.harness import check_cell
 
     outcome = AuditOutcome(stats=EngineStats(serial_fallback=True))
-    shared = rng if isinstance(rng, random.Random) else None
     start = time.perf_counter()
     for operator in operators:
+        row = outcome.results.setdefault(operator.name, {})
         for axiom in axioms:
-            generator = random.Random(rng) if shared is None else shared
-            result = check_axiom(
+            generator = rng if isinstance(rng, random.Random) else random.Random(rng)
+            result = row[axiom.name] = check_cell(
                 operator,
                 axiom,
                 vocabulary,
-                max_scenarios=max_scenarios,
-                rng=generator,
-                stop_at_first=stop_at_first,
+                max_scenarios,
+                generator,
+                stop_at_first,
+                impl,
             )
-            outcome.results.setdefault(operator.name, {})[axiom.name] = result
             outcome.stats.scenarios += result.scenarios_checked
     outcome.stats.elapsed_seconds = time.perf_counter() - start
     _record_run("engine.", outcome.stats)
@@ -928,10 +919,17 @@ def run_audit(
     shm: Optional[bool] = None,
     journal_dir: Optional[str | os.PathLike] = None,
     resume: bool = False,
+    impl: str = "dense",
 ) -> AuditOutcome:
-    """Audit every operator against every axiom, fanned out over ``jobs``
-    pool workers (``jobs=1``: the legacy serial loop, bit-identical to
-    calling :func:`repro.postulates.harness.check_axiom` per pair).
+    """Audit every operator against every axiom — the single entry for
+    Boolean sweeps — fanned out over ``jobs`` pool workers (``jobs=1``:
+    the in-process loop, cell-identical for an integer seed).
+
+    Every refusal is made here.  Symbolic sweeps (``impl="symbolic"``)
+    are serial and in-process, so they exclude ``jobs > 1``, ``shm`` and
+    journals.  Pool sweeps need an integer ``rng``: planning draws every
+    cell's stream up front, while the in-process loop draws a shared
+    ``Random`` lazily and stops at each cell's first failure.
 
     ``chunk_timeout`` (seconds, ``None`` = off) reaps hung chunks;
     ``max_retries`` bounds worker-side attempts per chunk before the
@@ -946,24 +944,40 @@ def run_audit(
     journal's chunks — refusing on any configuration mismatch — before
     evaluating only what remains.
     """
+    from repro.session.dispatch import ensure_impl
+
+    ensure_impl(impl, ("dense", "symbolic"))
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _ensure_unique([operator.name for operator in operators], "operator")
     _ensure_unique([axiom.name for axiom in axioms], "axiom")
     if resume and journal_dir is None:
         raise ReproError("resume requires a journal directory")
-    if journal_dir is not None:
-        if jobs == 1:
+    if impl == "symbolic":
+        if jobs > 1 or shm or journal_dir is not None:
+            raise ReproError(
+                "impl='symbolic' is serial and in-process: "
+                "jobs, --shm and --journal do not apply"
+            )
+        from repro.symbolic import ensure_symbolic_roster
+
+        ensure_symbolic_roster(operators)
+    if jobs == 1:
+        if journal_dir is not None:
             raise ReproError(
                 "journaled audits need the chunked engine: pass jobs >= 2 "
                 "(the serial path has no chunk boundaries to journal)"
             )
-        if not isinstance(rng, int):
-            raise ReproError(
-                "journaled audits need an integer seed: a shared Random "
-                "instance has no stable identity across processes, so its "
-                "journal could not be validated or resumed"
-            )
+        return _audit_in_process(
+            operators, axioms, vocabulary, max_scenarios, rng, stop_at_first, impl
+        )
+    if not isinstance(rng, int):
+        raise ReproError(
+            "pool sweeps need an integer seed: the pool plans every cell's "
+            "scenario stream up front, which a shared Random would hand out "
+            "differently from the serial loop (and a journal could not "
+            "record it); pass an int rng, or jobs=1"
+        )
 
     def open_journal(units: list[_Unit]) -> tuple[ChunkJournal, set[tuple[int, int]]]:
         journal = ChunkJournal(journal_dir)
@@ -1023,14 +1037,13 @@ def run_audit(
         shm=shm,
         journal=None if journal_dir is None else open_journal,
     )
-    # The serial path must see the caller's RNG untouched: planning
-    # fast-forwards a shared stream, so planning happens only on pool paths.
-    if units is None:
-        return _serial_audit(
-            operators, axioms, vocabulary, max_scenarios, rng, stop_at_first
+    if units is None:  # the roster does not pickle
+        return _audit_in_process(
+            operators, axioms, vocabulary, max_scenarios, rng, stop_at_first, impl
         )
+    outcome.results = {operator.name: {} for operator in operators}
     for unit in units:
-        outcome.results.setdefault(unit.operator_name, {})[
-            unit.axiom.name
-        ] = unit.to_result(stop_at_first)
+        outcome.results[unit.operator_name][unit.axiom.name] = unit.to_result(
+            stop_at_first
+        )
     return outcome

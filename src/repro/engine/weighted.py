@@ -15,8 +15,10 @@ module gives F1–F8 audits of weighted operators the same architecture:
   float64 array algebra (⊔ = ``+``, ⊓ = ``minimum``, → = ``all(≤)``) —
   exact on the integer-weighted scenarios the samplers produce, because
   IEEE doubles are lossless on integers below 2^53.
-* :func:`run_weighted_audit` is the pool's second chunk evaluator: it
-  plans deterministic captured-RNG chunks
+* :func:`run_weighted_audit` is the single entry for weighted sweeps
+  (``check_weighted_axiom``, ``audit_weighted_operator`` and ``repro
+  audit --weighted`` are one call of it each) and the pool's second
+  chunk evaluator: it plans deterministic captured-RNG chunks
   (:func:`repro.engine.chunks.plan_weighted_scenarios`) and hands them,
   with :func:`evaluate_weighted_chunk`, to the shared sweep runner of
   :mod:`repro.engine.pool` — the same min-global-index counterexample
@@ -26,8 +28,8 @@ module gives F1–F8 audits of weighted operators the same architecture:
 Every flagged scenario is re-checked with the scalar Fraction checker
 before being reported — the counterexample objects are exactly the legacy
 ones, and a dense/scalar disagreement raises instead of mis-reporting.
-``jobs=1`` never touches the pool or the dense evaluator: it routes
-through the legacy scalar loop and is identical to it by construction.
+``jobs=1`` never touches the pool or the dense evaluator: it runs
+the scalar checkers over the same sampled stream, axiom by axiom.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ try:  # pragma: no cover - numpy is baked into the container
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
+from repro import obs
 from repro.core.weighted import WeightedKnowledgeBase
 from repro.distances import kernels
 from repro.engine.chunks import (
@@ -72,6 +75,7 @@ from repro.postulates.weighted_axioms import (
     WeightedAxiom,
     WeightedCounterexample,
     WeightedOperator,
+    random_weighted_kbs,
 )
 
 __all__ = [
@@ -465,12 +469,11 @@ def _plan_weighted_units(
     max_weight: int,
     density: float,
 ) -> list[_Unit]:
-    """Plan every axiom audit in the legacy iteration order.
+    """Plan every axiom audit in roster order.
 
-    An integer seed builds a fresh stream per axiom — matching the serial
-    ``audit_weighted_operator`` loop, where each ``check_weighted_axiom``
-    call seeds its own generator — and a shared ``Random`` instance is
-    consumed sequentially in this same order.
+    An integer seed builds a fresh stream per axiom and a shared
+    ``Random`` is consumed axiom after axiom — both exactly as the
+    in-process loop draws them.
     """
     units: list[_Unit] = []
     for axiom in axioms:
@@ -503,7 +506,7 @@ def _weighted_chunk_task(
     )
 
 
-def _serial_weighted_audit(
+def _weighted_audit_in_process(
     operator: WeightedOperator,
     axioms: Sequence[WeightedAxiom],
     vocabulary: Vocabulary,
@@ -512,24 +515,37 @@ def _serial_weighted_audit(
     max_weight: int,
     density: float,
 ) -> WeightedAuditOutcome:
-    """The pure-serial fallback: the legacy scalar loop, axiom by axiom."""
-    from repro.postulates.weighted_axioms import check_weighted_axiom
-
+    """The in-process loop, axiom by axiom.  Each axiom's whole stream
+    (``scenarios * roles`` weighted KBs, sliced into consecutive role
+    tuples) is drawn up front, exactly as planning draws it, so a shared
+    ``Random`` ends in the same state on both routes."""
     outcome = WeightedAuditOutcome(stats=EngineStats(serial_fallback=True))
-    shared = rng if isinstance(rng, random.Random) else None
     start = time.perf_counter()
     for axiom in axioms:
-        generator = random.Random(rng) if shared is None else shared
-        outcome.results[axiom.name] = check_weighted_axiom(
-            operator,
-            axiom,
-            vocabulary,
-            scenarios=scenarios,
-            rng=generator,
-            max_weight=max_weight,
-            density=density,
+        generator = rng if isinstance(rng, random.Random) else random.Random(rng)
+        roles = len(axiom.roles)
+        kbs = list(
+            random_weighted_kbs(
+                vocabulary, scenarios * roles, generator, max_weight, density
+            )
         )
-        outcome.stats.scenarios += scenarios
+        first: Optional[WeightedCounterexample] = None
+        checked = 0
+        started = time.perf_counter()
+        for index in range(scenarios):
+            checked += 1
+            scenario = tuple(kbs[index * roles : (index + 1) * roles])
+            first = axiom.check_instance(operator, scenario)
+            if first is not None:
+                break
+        elapsed = time.perf_counter() - started
+        registry = obs.active()
+        if registry is not None:
+            registry.counter("harness.weighted_checks").inc()
+            registry.counter("harness.weighted_scenarios").inc(checked)
+            registry.histogram("harness.weighted_check_seconds").observe(elapsed)
+        outcome.results[axiom.name] = first
+        outcome.stats.scenarios += checked
     outcome.stats.elapsed_seconds = time.perf_counter() - start
     _record_run("engine.weighted_", outcome.stats)
     return outcome
@@ -563,9 +579,10 @@ def run_weighted_audit(
     faults: Optional[FaultPlan] = None,
     shm: Optional[bool] = None,
 ) -> WeightedAuditOutcome:
-    """Audit one weighted operator against every axiom, fanned out over
-    ``jobs`` pool workers (``jobs=1``: the legacy serial loop, identical
-    to calling ``check_weighted_axiom`` per axiom).
+    """Audit one weighted operator against every axiom: the single entry
+    for weighted sweeps — fanned out over ``jobs`` pool workers
+    (``jobs=1``: the in-process loop, cell-identical with an integer seed
+    or a shared ``Random``).
 
     ``chunk_timeout`` / ``max_retries`` / ``faults`` configure the
     resilience layer, and ``shm`` the zero-copy arena path, exactly as in
@@ -577,6 +594,10 @@ def run_weighted_audit(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _ensure_unique([axiom.name for axiom in axioms], "axiom")
+    if jobs == 1:
+        return _weighted_audit_in_process(
+            operator, axioms, vocabulary, scenarios, rng, max_weight, density
+        )
     outcome = WeightedAuditOutcome()
     units = _run_sweep(
         outcome,
@@ -598,8 +619,8 @@ def run_weighted_audit(
         faults=faults,
         shm=shm,
     )
-    if units is None:
-        return _serial_weighted_audit(
+    if units is None:  # the roster does not pickle
+        return _weighted_audit_in_process(
             operator, axioms, vocabulary, scenarios, rng, max_weight, density
         )
     for unit in units:

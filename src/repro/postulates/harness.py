@@ -9,6 +9,11 @@ space*:
   axioms and |𝒯| ≤ 3 on two-role axioms.
 * :func:`sampled_scenarios` — seeded uniform sampling for anything larger.
 
+:func:`check_cell` is the one scenario loop, dense or symbolic, that
+:func:`repro.engine.pool.run_audit` runs per in-process cell;
+:func:`check_axiom` and :func:`audit_operator` are one ``run_audit`` call
+each.
+
 The search is semantic: knowledge bases are represented directly by model
 sets, which quotients out syntax exactly as the axioms do (axiom
 R4/U4/A4 is checked separately at formula level).
@@ -19,12 +24,12 @@ from __future__ import annotations
 import random
 import time
 from itertools import islice, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro import obs
-from repro.engine.chunks import DEFAULT_EXHAUSTIVE_LIMIT
-from repro.errors import ReproError
+from repro.engine.chunks import DEFAULT_EXHAUSTIVE_LIMIT, sample_scenario_bits
 from repro.engine.resilience import DEFAULT_MAX_RETRIES
+from repro.logic.bitsets import model_set_of_bits
 from repro.logic.interpretation import Vocabulary, iter_set_bits
 from repro.logic.semantics import ModelSet
 from repro.operators.base import TheoryChangeOperator
@@ -35,12 +40,14 @@ __all__ = [
     "all_model_sets",
     "exhaustive_scenarios",
     "sampled_scenarios",
+    "scenario_space",
+    "check_cell",
     "check_axiom",
     "audit_operator",
 ]
 
 #: Scenario-space size above which enumeration switches to sampling
-#: (see :func:`check_axiom`).  Shared with the audit engine's planner so
+#: (see :func:`scenario_space`).  Shared with the audit engine's planner so
 #: serial and parallel runs pick the same mode.
 EXHAUSTIVE_LIMIT = DEFAULT_EXHAUSTIVE_LIMIT
 
@@ -82,118 +89,81 @@ def sampled_scenarios(
 
     Each knowledge base is a uniformly random subset of the interpretation
     space (biased neither sparse nor dense); the empty KB appears with its
-    natural probability unless excluded.
+    natural probability unless excluded.  Draws through
+    :func:`repro.engine.chunks.sample_scenario_bits` one scenario at a
+    time, so a shared generator advances only as far as the caller reads.
     """
     generator = rng if isinstance(rng, random.Random) else random.Random(rng)
     total = vocabulary.interpretation_count
-    produced = 0
-    while produced < count:
-        scenario: list[ModelSet] = []
-        acceptable = True
-        for _ in range(roles):
-            bits = generator.getrandbits(total)
-            if bits == 0 and not include_empty:
-                acceptable = False
-                break
-            scenario.append(ModelSet(vocabulary, iter_set_bits(bits)))
-        if acceptable:
-            produced += 1
-            yield tuple(scenario)
+    for _ in range(count):
+        (scenario,) = sample_scenario_bits(generator, roles, 1, total, include_empty)
+        yield tuple(model_set_of_bits(vocabulary, bits) for bits in scenario)
 
 
-def check_axiom(
+def scenario_space(
+    vocabulary: Vocabulary,
+    roles: int,
+    max_scenarios: int,
+    rng: int | random.Random,
+) -> tuple[Iterable[tuple[ModelSet, ...]], bool, bool]:
+    """``(scenarios, exhaustive, truncated)`` for one check: enumeration
+    cut at ``max_scenarios`` when the space fits in ``EXHAUSTIVE_LIMIT``
+    tuples, ``max_scenarios`` seeded samples otherwise."""
+    space = (1 << vocabulary.interpretation_count) ** roles
+    if space > EXHAUSTIVE_LIMIT:
+        return sampled_scenarios(vocabulary, roles, max_scenarios, rng), False, False
+    exhaustive = space <= max_scenarios
+    scenarios = islice(exhaustive_scenarios(vocabulary, roles), max_scenarios)
+    return scenarios, exhaustive, not exhaustive
+
+
+def check_cell(
     operator: TheoryChangeOperator,
     axiom: Axiom,
     vocabulary: Vocabulary,
-    max_scenarios: int = 50_000,
-    rng: int | random.Random = 0,
+    max_scenarios: int,
+    rng: int | random.Random,
     stop_at_first: bool = True,
-    jobs: int = 1,
-    chunk_timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
     impl: str = "dense",
 ) -> CheckResult:
-    """Check one axiom for one operator over the vocabulary.
+    """Check one (operator, axiom) cell in process.
 
-    Enumerates the scenario space when it fits in ``EXHAUSTIVE_LIMIT``
-    tuples, truncating enumeration at ``max_scenarios`` (the result is
-    marked ``exhaustive`` only when nothing was cut); larger spaces use
-    seeded sampling of ``max_scenarios`` tuples.  Returns a
-    :class:`CheckResult` carrying the first counterexample found, if any —
-    also under ``stop_at_first=False``, which keeps scanning (to count the
-    full space) but still reports the earliest failure.
-
-    ``jobs > 1`` routes through the parallel audit engine
-    (:func:`repro.engine.pool.run_audit`), whose merge is
-    deterministic and result-identical to this serial loop;
-    ``chunk_timeout`` / ``max_retries`` configure its resilience ladder
-    (ignored on the serial path).
-
-    ``impl="symbolic"`` runs the whole check on BDD level sets
-    (:func:`repro.symbolic.check_axiom_symbolic`): result-identical here
-    up to 16 atoms, and the only mode that completes at 30+.  Symbolic
-    checks are serial (nodes live in one manager), so ``jobs`` must be 1.
+    Returns a :class:`CheckResult` carrying the first counterexample
+    found, if any — also under ``stop_at_first=False``, which keeps
+    scanning (to count the full space) but still reports the earliest
+    failure.  ``impl="symbolic"`` takes its operator wrapper, scenarios
+    and densified counterexample from :mod:`repro.symbolic.harness`.
     """
-    from repro.session.dispatch import ensure_impl
-
-    ensure_impl(impl, ("dense", "symbolic"))
-    if impl == "symbolic":
-        if jobs > 1:
-            raise ReproError(
-                "impl='symbolic' is serial (shared BDD manager); use jobs=1"
-            )
-        from repro.symbolic import check_axiom_symbolic
-
-        return check_axiom_symbolic(
-            operator,
-            axiom,
-            vocabulary,
-            max_scenarios=max_scenarios,
-            rng=rng,
-            stop_at_first=stop_at_first,
-        )
-    if jobs > 1:
-        from repro.engine.pool import run_audit
-
-        outcome = run_audit(
-            [operator],
-            [axiom],
-            vocabulary,
-            max_scenarios=max_scenarios,
-            rng=rng,
-            stop_at_first=stop_at_first,
-            jobs=jobs,
-            chunk_timeout=chunk_timeout,
-            max_retries=max_retries,
-        )
-        return outcome.results[operator.name][axiom.name]
     roles = len(axiom.roles)
-    space = (1 << vocabulary.interpretation_count) ** roles
-    truncated = False
-    if space <= EXHAUSTIVE_LIMIT:
-        scenarios: Iterable[tuple[ModelSet, ...]] = islice(
-            exhaustive_scenarios(vocabulary, roles), max_scenarios
-        )
-        exhaustive = space <= max_scenarios
-        truncated = not exhaustive
-    else:
-        scenarios = sampled_scenarios(vocabulary, roles, max_scenarios, rng)
-        exhaustive = False
+    subject: Any = operator
+    extra: dict[str, str] = {}
+    source: Any = scenario_space
+    if impl == "symbolic":
+        from repro.symbolic import harness as symbolic
+
+        subject = symbolic.SymbolicOperator(operator)
+        source = symbolic.symbolic_scenarios
+        extra = {"impl": impl, "scenario_mode": symbolic.scenario_mode(vocabulary)}
+    scenarios, exhaustive, truncated = source(vocabulary, roles, max_scenarios, rng)
     checked = 0
     first: Optional[Counterexample] = None
     start = time.perf_counter()
     for scenario in scenarios:
         checked += 1
-        counterexample = axiom.check_instance(operator, scenario)
+        counterexample = axiom.check_instance(subject, scenario)
         if counterexample is not None:
             if first is None:
                 first = counterexample
             if stop_at_first:
                 break
     elapsed = time.perf_counter() - start
+    if first is not None and impl == "symbolic":
+        first = symbolic.densify(first, vocabulary)
     registry = obs.active()
     if registry is not None:
         registry.counter("harness.checks").inc()
+        if impl == "symbolic":
+            registry.counter("harness.symbolic_checks").inc()
         registry.counter("harness.scenarios").inc(checked)
         registry.histogram("harness.check_seconds").observe(elapsed)
         if truncated:
@@ -209,8 +179,50 @@ def check_axiom(
             "scenarios_checked": checked,
             "truncated": truncated,
             "elapsed_seconds": elapsed,
+            **extra,
         },
     )
+
+
+def check_axiom(
+    operator: TheoryChangeOperator,
+    axiom: Axiom,
+    vocabulary: Vocabulary,
+    max_scenarios: int = 50_000,
+    rng: int | random.Random = 0,
+    stop_at_first: bool = True,
+    jobs: int = 1,
+    chunk_timeout: Optional[float] = None,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+    impl: str = "dense",
+) -> CheckResult:
+    """Check one axiom for one operator over the vocabulary: one
+    :func:`repro.engine.pool.run_audit` call.
+
+    The scenarios are :func:`scenario_space`'s — enumeration cut at
+    ``max_scenarios`` (``exhaustive`` only when nothing was cut) or seeded
+    sampling — and the result carries the first counterexample found,
+    also under ``stop_at_first=False``.  ``jobs > 1`` runs the process
+    pool, result-identical to the in-process loop; ``chunk_timeout`` /
+    ``max_retries`` configure its resilience ladder.  ``impl="symbolic"``
+    checks on BDD level sets: result-identical up to 16 atoms, and the
+    only mode that completes at 30+.
+    """
+    from repro.engine.pool import run_audit
+
+    outcome = run_audit(
+        [operator],
+        [axiom],
+        vocabulary,
+        max_scenarios=max_scenarios,
+        rng=rng,
+        stop_at_first=stop_at_first,
+        jobs=jobs,
+        chunk_timeout=chunk_timeout,
+        max_retries=max_retries,
+        impl=impl,
+    )
+    return outcome.results[operator.name][axiom.name]
 
 
 def audit_operator(
@@ -224,43 +236,20 @@ def audit_operator(
     max_retries: int = DEFAULT_MAX_RETRIES,
     impl: str = "dense",
 ) -> dict[str, CheckResult]:
-    """Check a whole axiom set for one operator; results keyed by axiom.
+    """Check a whole axiom set for one operator, results keyed by axiom:
+    one :func:`repro.engine.pool.run_audit` call, so ``jobs > 1`` runs
+    the whole sweep through one process pool."""
+    from repro.engine.pool import run_audit
 
-    With ``jobs > 1`` the whole sweep runs through one process pool (one
-    roster shipment, shared per-worker caches) instead of per-axiom.
-    ``impl="symbolic"`` audits on BDD level sets (serial; ``jobs`` must
-    stay 1).
-    """
-    from repro.session.dispatch import ensure_impl
-
-    ensure_impl(impl, ("dense", "symbolic"))
-    if impl == "symbolic":
-        if jobs > 1:
-            raise ReproError(
-                "impl='symbolic' is serial (shared BDD manager); use jobs=1"
-            )
-        from repro.symbolic import audit_operator_symbolic
-
-        return audit_operator_symbolic(
-            operator, axioms, vocabulary, max_scenarios=max_scenarios, rng=rng
-        )
-    if jobs > 1:
-        from repro.engine.pool import run_audit
-
-        outcome = run_audit(
-            [operator],
-            axioms,
-            vocabulary,
-            max_scenarios=max_scenarios,
-            rng=rng,
-            jobs=jobs,
-            chunk_timeout=chunk_timeout,
-            max_retries=max_retries,
-        )
-        return outcome.results[operator.name]
-    results: dict[str, CheckResult] = {}
-    for axiom in axioms:
-        results[axiom.name] = check_axiom(
-            operator, axiom, vocabulary, max_scenarios, rng
-        )
-    return results
+    outcome = run_audit(
+        [operator],
+        axioms,
+        vocabulary,
+        max_scenarios=max_scenarios,
+        rng=rng,
+        jobs=jobs,
+        chunk_timeout=chunk_timeout,
+        max_retries=max_retries,
+        impl=impl,
+    )
+    return outcome.results[operator.name]

@@ -4,9 +4,10 @@ The paper classifies operators by which postulate family they satisfy:
 Dalal/Satoh/Borgida/Weber are revisions (satisfy R2), Winslett is an
 update (satisfies U2 and U8), and the odist operator is claimed to be a
 model-fitting operator.  This module computes the full matrix mechanically
-and renders it as the table the paper never printed — including the cells
-where the mechanical audit disagrees with the paper's claims (the odist
-operator's A8).
+— :func:`compute_matrix` is one call of :func:`repro.engine.pool.run_audit`,
+the single entry for postulate sweeps — and renders it as the table the
+paper never printed, including the cells where the mechanical audit
+disagrees with the paper's claims (the odist operator's A8).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.postulates.axioms import (
     Axiom,
 )
 from repro.postulates.counterexample import CheckResult
-from repro.postulates.harness import audit_operator
 
 __all__ = ["SatisfactionMatrix", "compute_matrix", "render_matrix"]
 
@@ -78,7 +78,9 @@ def compute_matrix(
     resume: bool = False,
     impl: str = "dense",
 ) -> SatisfactionMatrix:
-    """Audit every operator against every axiom.
+    """Audit every operator against every axiom: one
+    :func:`repro.engine.pool.run_audit` call, which refuses whatever does
+    not apply.
 
     Over a two-atom vocabulary the two-role axioms are exhaustive (256
     scenarios) and three-role axioms exhaust 4096 scenarios, so the matrix
@@ -86,75 +88,33 @@ def compute_matrix(
 
     ``jobs > 1`` runs the whole sweep through the parallel audit engine —
     one process pool, one operator-roster shipment, batched chunk
-    evaluation — with results identical to the serial loop.
+    evaluation — with results identical to the in-process loop.
     ``chunk_timeout`` / ``max_retries`` configure the engine's resilience
     ladder, ``shm`` its zero-copy arena, and ``journal_dir`` / ``resume``
-    its chunk journal; all engine-only (``journal_dir`` on the serial
-    path is refused — it has no chunk boundaries to journal).
-
-    ``impl="symbolic"`` audits on BDD level sets: cell-identical to dense
-    up to 16 atoms, and the only mode feasible at 30+.  Symbolic sweeps
-    are serial and in-process, so they exclude ``jobs > 1``, ``shm`` and
-    ``journal_dir``.
+    its chunk journal.  ``impl="symbolic"`` audits on BDD level sets:
+    cell-identical to dense up to 16 atoms, and the only mode feasible at
+    30+.
     """
-    from repro.session.dispatch import ensure_impl
+    from repro.engine.pool import run_audit
 
-    ensure_impl(impl, ("dense", "symbolic"))
-    if impl == "symbolic":
-        from repro.errors import ReproError
-
-        if jobs > 1 or shm or journal_dir is not None:
-            raise ReproError(
-                "impl='symbolic' is serial and in-process: "
-                "jobs, --shm and --journal do not apply"
-            )
-        from repro.symbolic import audit_operator_symbolic, ensure_symbolic_roster
-
-        ensure_symbolic_roster(operators)
-        results = {}
-        for operator in operators:
-            results[operator.name] = audit_operator_symbolic(
-                operator, axioms, vocabulary, max_scenarios, rng
-            )
-        return SatisfactionMatrix(
-            operators=tuple(op.name for op in operators),
-            axioms=tuple(a.name for a in axioms),
-            results=results,
-            vocabulary_size=vocabulary.size,
-        )
-    if jobs > 1:
-        from repro.engine.pool import run_audit
-
-        outcome = run_audit(
-            operators,
-            axioms,
-            vocabulary,
-            max_scenarios=max_scenarios,
-            rng=rng,
-            jobs=jobs,
-            chunk_timeout=chunk_timeout,
-            max_retries=max_retries,
-            shm=shm,
-            journal_dir=journal_dir,
-            resume=resume,
-        )
-        results = outcome.results
-    else:
-        if journal_dir is not None:
-            from repro.errors import ReproError
-
-            raise ReproError(
-                "journaled audits need the chunked engine: pass jobs >= 2"
-            )
-        results = {}
-        for operator in operators:
-            results[operator.name] = audit_operator(
-                operator, axioms, vocabulary, max_scenarios, rng
-            )
+    outcome = run_audit(
+        operators,
+        axioms,
+        vocabulary,
+        max_scenarios=max_scenarios,
+        rng=rng,
+        jobs=jobs,
+        chunk_timeout=chunk_timeout,
+        max_retries=max_retries,
+        shm=shm,
+        journal_dir=journal_dir,
+        resume=resume,
+        impl=impl,
+    )
     return SatisfactionMatrix(
         operators=tuple(op.name for op in operators),
         axioms=tuple(a.name for a in axioms),
-        results=results,
+        results=outcome.results,
         vocabulary_size=vocabulary.size,
     )
 

@@ -15,16 +15,17 @@ operator exposing ``apply(psi, mu) -> WeightedKnowledgeBase`` (duck-typed;
 subject).  Scenario spaces are sampled with small integer weights — the
 weighted KB space is infinite, so exhaustiveness is impossible; sampling
 with seeds keeps runs reproducible.
+
+:func:`check_weighted_axiom` and :func:`audit_weighted_operator` are one
+:func:`repro.engine.weighted.run_weighted_audit` call each.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Protocol, Sequence
 
-from repro import obs
 from repro.core.weighted import WeightedKnowledgeBase
 from repro.engine.resilience import DEFAULT_MAX_RETRIES
 from repro.logic.interpretation import Vocabulary
@@ -248,57 +249,25 @@ def check_weighted_axiom(
     chunk_timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> Optional[WeightedCounterexample]:
-    """Sampled check of one weighted axiom; first counterexample or None.
+    """Sampled check of one weighted axiom, first counterexample or None:
+    one :func:`repro.engine.weighted.run_weighted_audit` call, whose pool
+    (``jobs > 1``) reports the same first counterexample as its
+    in-process loop."""
+    from repro.engine.weighted import run_weighted_audit
 
-    ``jobs > 1`` routes through the weighted audit engine
-    (:func:`repro.engine.weighted.run_weighted_audit`), whose
-    min-global-index merge reports the same first counterexample as this
-    serial loop over the identical sampled stream; ``chunk_timeout`` /
-    ``max_retries`` configure its resilience ladder (ignored serially).
-    """
-    if jobs > 1:
-        from repro.engine.weighted import run_weighted_audit
-
-        outcome = run_weighted_audit(
-            operator,
-            [axiom],
-            vocabulary,
-            scenarios=scenarios,
-            rng=rng,
-            jobs=jobs,
-            max_weight=max_weight,
-            density=density,
-            chunk_timeout=chunk_timeout,
-            max_retries=max_retries,
-        )
-        return outcome.results[axiom.name]
-    generator = rng if isinstance(rng, random.Random) else random.Random(rng)
-    roles = len(axiom.roles)
-    pool = list(
-        random_weighted_kbs(
-            vocabulary,
-            scenarios * roles,
-            generator,
-            max_weight=max_weight,
-            density=density,
-        )
+    outcome = run_weighted_audit(
+        operator,
+        [axiom],
+        vocabulary,
+        scenarios=scenarios,
+        rng=rng,
+        jobs=jobs,
+        max_weight=max_weight,
+        density=density,
+        chunk_timeout=chunk_timeout,
+        max_retries=max_retries,
     )
-    first: Optional[WeightedCounterexample] = None
-    checked = 0
-    start = time.perf_counter()
-    for index in range(scenarios):
-        scenario = tuple(pool[index * roles + offset] for offset in range(roles))
-        checked += 1
-        first = axiom.check_instance(operator, scenario)
-        if first is not None:
-            break
-    elapsed = time.perf_counter() - start
-    registry = obs.active()
-    if registry is not None:
-        registry.counter("harness.weighted_checks").inc()
-        registry.counter("harness.weighted_scenarios").inc(checked)
-        registry.histogram("harness.weighted_check_seconds").observe(elapsed)
-    return first
+    return outcome.results[axiom.name]
 
 
 def audit_weighted_operator(
@@ -313,42 +282,27 @@ def audit_weighted_operator(
     max_retries: int = DEFAULT_MAX_RETRIES,
     shm: Optional[bool] = None,
 ) -> dict[str, Optional[WeightedCounterexample]]:
-    """Check all of F1–F8; results keyed by axiom name (None = held).
-
-    With ``jobs > 1`` the whole F1–F8 sweep runs through one process pool
-    (:func:`repro.engine.weighted.run_weighted_audit`); the verdict matrix
-    is cell-identical to the serial loop at any job count.  ``shm``
-    selects the zero-copy arena path (``None`` = auto).
+    """Check all of F1–F8, results keyed by axiom name (None = held): one
+    :func:`repro.engine.weighted.run_weighted_audit` call, cell-identical
+    at any job count.  ``shm`` selects the zero-copy arena path (``None``
+    = auto).
     """
-    if jobs > 1:
-        from repro.engine.weighted import run_weighted_audit
+    from repro.engine.weighted import run_weighted_audit
 
-        outcome = run_weighted_audit(
-            operator,
-            WEIGHTED_AXIOMS,
-            vocabulary,
-            scenarios=scenarios,
-            rng=rng,
-            jobs=jobs,
-            max_weight=max_weight,
-            density=density,
-            chunk_timeout=chunk_timeout,
-            max_retries=max_retries,
-            shm=shm,
-        )
-        return outcome.results
-    return {
-        axiom.name: check_weighted_axiom(
-            operator,
-            axiom,
-            vocabulary,
-            scenarios,
-            rng,
-            max_weight=max_weight,
-            density=density,
-        )
-        for axiom in WEIGHTED_AXIOMS
-    }
+    outcome = run_weighted_audit(
+        operator,
+        WEIGHTED_AXIOMS,
+        vocabulary,
+        scenarios=scenarios,
+        rng=rng,
+        jobs=jobs,
+        max_weight=max_weight,
+        density=density,
+        chunk_timeout=chunk_timeout,
+        max_retries=max_retries,
+        shm=shm,
+    )
+    return outcome.results
 
 
 def render_weighted_audit(

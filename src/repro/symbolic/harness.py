@@ -1,6 +1,10 @@
 """Symbolic postulate auditing: `check_axiom` at 30+ atoms.
 
-Two scenario regimes, chosen by vocabulary size:
+Symbolic checks run through :func:`repro.engine.pool.run_audit` and the
+dense harness's scenario loop (:func:`repro.postulates.harness.check_cell`)
+like dense ones; this module supplies the scenario source, the
+:class:`SymbolicOperator` wrapper and the densified counterexample.
+Scenarios come in two regimes, chosen by vocabulary size:
 
 * **Mask mode** (``|T| ≤ MASK_SCENARIO_MAX_ATOMS``): consume the *exact*
   scenario stream of the dense harness — the same
@@ -24,13 +28,11 @@ every set operation they perform stays symbolic.
 from __future__ import annotations
 
 import random
-import time
-from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from repro import obs
 from repro.errors import ReproError
 from repro.logic.bdd import BddManager, manager_for
+from repro.logic.bitsets import bits_of_model_set
 from repro.logic.interpretation import Vocabulary
 from repro.logic.random_formulas import random_formula
 from repro.logic.semantics import ModelSet
@@ -43,8 +45,12 @@ from repro.symbolic.sets import SymbolicModelSet
 __all__ = [
     "MASK_SCENARIO_MAX_ATOMS",
     "DEFAULT_FORMULA_DEPTH",
+    "SymbolicOperator",
     "lift_model_set",
     "sampled_symbolic_scenarios",
+    "scenario_mode",
+    "symbolic_scenarios",
+    "densify",
     "check_axiom_symbolic",
     "audit_operator_symbolic",
 ]
@@ -64,9 +70,7 @@ DEFAULT_FORMULA_DEPTH = 5
 
 def lift_model_set(manager: BddManager, model_set: ModelSet) -> SymbolicModelSet:
     """Lift one dense knowledge base onto the shared manager."""
-    bits = 0
-    for mask in model_set.masks:
-        bits |= 1 << mask
+    bits = bits_of_model_set(model_set)
     return SymbolicModelSet(manager, manager.from_truth_bits(bits))
 
 
@@ -93,9 +97,40 @@ def sampled_symbolic_scenarios(
         yield scenario
 
 
-def _densify(counterexample: Counterexample) -> Counterexample:
+def scenario_mode(vocabulary: Vocabulary) -> str:
+    """``"mask"`` up to :data:`MASK_SCENARIO_MAX_ATOMS` atoms (the dense
+    stream, lifted), ``"formula"`` above (random formulas)."""
+    return "mask" if vocabulary.size <= MASK_SCENARIO_MAX_ATOMS else "formula"
+
+
+def symbolic_scenarios(
+    vocabulary: Vocabulary,
+    roles: int,
+    max_scenarios: int,
+    rng: int | random.Random,
+) -> tuple[Iterable[tuple[SymbolicModelSet, ...]], bool, bool]:
+    """:func:`repro.postulates.harness.scenario_space` for symbolic
+    checks: its stream and flags lifted in mask mode, random formulas in
+    formula mode."""
+    if scenario_mode(vocabulary) == "formula":
+        scenarios = sampled_symbolic_scenarios(vocabulary, roles, max_scenarios, rng)
+        return scenarios, False, False
+    from repro.postulates.harness import scenario_space
+
+    dense, exhaustive, truncated = scenario_space(vocabulary, roles, max_scenarios, rng)
+    manager = manager_for(vocabulary)
+    lifted = (
+        tuple(lift_model_set(manager, role_set) for role_set in scenario)
+        for scenario in dense
+    )
+    return lifted, exhaustive, truncated
+
+
+def densify(counterexample: Counterexample, vocabulary: Vocabulary) -> Counterexample:
     """Replace symbolic sets with dense ones so mask-mode counterexamples
-    compare equal to the dense harness's."""
+    compare equal to the dense harness's; formula-mode ones stay symbolic."""
+    if scenario_mode(vocabulary) == "formula":
+        return counterexample
 
     def dense(value):
         return value.to_model_set() if isinstance(value, SymbolicModelSet) else value
@@ -126,74 +161,18 @@ def check_axiom_symbolic(
     formula mode the verdict is sampled evidence over a different —
     necessarily symbolic — scenario distribution.
     """
-    from repro.postulates.harness import (
-        EXHAUSTIVE_LIMIT,
-        exhaustive_scenarios,
-        sampled_scenarios,
-    )
+    from repro.engine.pool import run_audit
 
-    symbolic_operator = SymbolicOperator(operator)
-    manager = manager_for(vocabulary)
-    roles = len(axiom.roles)
-    truncated = False
-    mask_mode = vocabulary.size <= MASK_SCENARIO_MAX_ATOMS
-    if mask_mode:
-        space = (1 << vocabulary.interpretation_count) ** roles
-        if space <= EXHAUSTIVE_LIMIT:
-            dense_stream: Iterable[tuple[ModelSet, ...]] = islice(
-                exhaustive_scenarios(vocabulary, roles), max_scenarios
-            )
-            exhaustive = space <= max_scenarios
-            truncated = not exhaustive
-        else:
-            dense_stream = sampled_scenarios(vocabulary, roles, max_scenarios, rng)
-            exhaustive = False
-        scenarios: Iterable[tuple[SymbolicModelSet, ...]] = (
-            tuple(lift_model_set(manager, role_set) for role_set in scenario)
-            for scenario in dense_stream
-        )
-    else:
-        scenarios = sampled_symbolic_scenarios(
-            vocabulary, roles, max_scenarios, rng
-        )
-        exhaustive = False
-    checked = 0
-    first: Optional[Counterexample] = None
-    start = time.perf_counter()
-    for scenario in scenarios:
-        checked += 1
-        counterexample = axiom.check_instance(symbolic_operator, scenario)
-        if counterexample is not None:
-            if first is None:
-                first = counterexample
-            if stop_at_first:
-                break
-    elapsed = time.perf_counter() - start
-    if first is not None and mask_mode:
-        first = _densify(first)
-    registry = obs.active()
-    if registry is not None:
-        registry.counter("harness.checks").inc()
-        registry.counter("harness.symbolic_checks").inc()
-        registry.counter("harness.scenarios").inc(checked)
-        registry.histogram("harness.check_seconds").observe(elapsed)
-        if truncated:
-            registry.counter("harness.truncated_checks").inc()
-    return CheckResult(
-        axiom=axiom.name,
-        operator=operator.name,
-        holds=first is None,
-        scenarios_checked=checked,
-        exhaustive=exhaustive,
-        counterexample=first,
-        metrics={
-            "scenarios_checked": checked,
-            "truncated": truncated,
-            "elapsed_seconds": elapsed,
-            "impl": "symbolic",
-            "scenario_mode": "mask" if mask_mode else "formula",
-        },
+    outcome = run_audit(
+        [operator],
+        [axiom],
+        vocabulary,
+        max_scenarios=max_scenarios,
+        rng=rng,
+        stop_at_first=stop_at_first,
+        impl="symbolic",
     )
+    return outcome.results[operator.name][axiom.name]
 
 
 def audit_operator_symbolic(
@@ -204,12 +183,17 @@ def audit_operator_symbolic(
     rng: int | random.Random = 0,
 ) -> dict[str, CheckResult]:
     """Symbolic mirror of :func:`repro.postulates.harness.audit_operator`."""
-    results: dict[str, CheckResult] = {}
-    for axiom in axioms:
-        results[axiom.name] = check_axiom_symbolic(
-            operator, axiom, vocabulary, max_scenarios, rng
-        )
-    return results
+    from repro.engine.pool import run_audit
+
+    outcome = run_audit(
+        [operator],
+        axioms,
+        vocabulary,
+        max_scenarios=max_scenarios,
+        rng=rng,
+        impl="symbolic",
+    )
+    return outcome.results[operator.name]
 
 
 def ensure_symbolic_roster(

@@ -32,6 +32,7 @@ from repro.engine.faults import (
 from repro.engine.pool import run_audit
 from repro.engine.resilience import ResilienceConfig, run_resilient
 from repro.engine.weighted import run_weighted_audit
+from repro.errors import ReproError
 from repro.logic.interpretation import Vocabulary
 from repro.operators.revision import DalalRevision
 from repro.postulates.axioms import axiom_by_name
@@ -253,20 +254,20 @@ class TestFaultRecovery:
         assert not faulty.failures.ok
         assert faulty.failures.retries >= 1
 
-    def test_shared_rng_survives_faults(self, baseline_parallel):
-        """A caller-owned Random must be consumed identically whether or
-        not the run needed retries (planning happens once, up front)."""
-        quiet = run_audit(
-            OPERATORS, AXIOMS, VOCAB2, jobs=2,
-            max_scenarios=600, chunk_size=64, rng=random.Random(7),
-        )
-        noisy = run_audit(
-            OPERATORS, AXIOMS, VOCAB2, jobs=2,
-            max_scenarios=600, chunk_size=64, rng=random.Random(7),
-            faults=FaultPlan.parse("raise:*x1"),
-        )
-        assert_results_identical(quiet, baseline_parallel)
-        assert_results_identical(noisy, baseline_parallel)
+    def test_shared_rng_survives_faults(self):
+        """A caller-owned Random is refused at jobs=2 — with or without
+        injected faults — before planning draws from it: the pool plans
+        every cell's stream up front, which would hand later cells other
+        scenarios than the serial loop's lazy draws."""
+        for faults in (None, FaultPlan.parse("raise:*x1")):
+            generator = random.Random(7)
+            with pytest.raises(ReproError, match="integer seed"):
+                run_audit(
+                    OPERATORS, AXIOMS, VOCAB2, jobs=2,
+                    max_scenarios=600, chunk_size=64, rng=generator,
+                    faults=faults,
+                )
+            assert generator.getstate() == random.Random(7).getstate()
 
 
 @dataclasses.dataclass(frozen=True)
