@@ -17,8 +17,6 @@ machines that have the cores.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Optional, Sequence
 
@@ -28,6 +26,7 @@ from repro.bench.trajectory import save_snapshot, time_paths
 from repro.distances import kernels
 from repro.engine.batched import bits_of_model_set
 from repro.engine.pool import run_audit
+from repro.kb.serialize import canonical_digest
 from repro.logic.interpretation import Vocabulary
 from repro.logic.semantics import ModelSet
 from repro.postulates.axioms import ALL_AXIOMS, Axiom
@@ -87,8 +86,7 @@ def matrix_checksum(matrix: SatisfactionMatrix) -> str:
         }
         for operator, row in matrix.results.items()
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest(payload)
 
 
 def measure_audit_speedup(

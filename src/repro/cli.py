@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -694,6 +695,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit code when the output's reader goes away (``… | head``): 128 + SIGPIPE.
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     if out is None:
@@ -705,6 +710,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -18,23 +18,15 @@ count twice).  This is precisely why the weighted ``wdist`` assignment is
 genuinely loyal (sums are additive under ⊔) even though the unweighted
 ``sumdist`` assignment is not; the test suite demonstrates both halves.
 
-Two storage backends share one value semantics:
-
-* the **exact** backend stores weights sparsely as
-  :class:`fractions.Fraction` (the canonical identity — hashing, equality,
-  and every accessor read it);
-* the **dense** backend mirrors the Boolean engine's mask-indexed layout: a
-  read-only float64 vector over all ``2^|𝒯|`` masks (:meth:`dense`), making
-  ⊔/⊓/→ pointwise array ops and ``wdist`` a matrix–vector product.
-
-Every connective takes ``impl="auto" | "numpy" | "python"``, mirroring the
-kernel dispatch in :mod:`repro.distances.kernels`: ``python`` is the exact
-Fraction reference, ``numpy`` forces the dense float path, and ``auto``
-uses the dense path only when it is *provably exact* — all weights are
-integers whose total stays below 2^53, where IEEE double arithmetic on
-integers is lossless (the audit samplers and the paper's examples only
-ever produce small integer weights, so audits ride the fast path without
-giving up bit-exactness).
+Weights are stored sparsely as exact :class:`fractions.Fraction` values,
+and every connective (⊔, ⊓, →, scaling, ``wdist``) runs on them, so its
+answer is exact.  A read-only float64 vector over all ``2^|𝒯|`` masks
+(:meth:`~WeightedKnowledgeBase.dense`, :meth:`~WeightedKnowledgeBase.from_dense`)
+is the bridge to the dense audit engine
+(:class:`repro.engine.weighted.DenseWeightedOperator`), which evaluates
+fitting as array algebra on the integer weights its samplers draw, where
+float64 is lossless; :meth:`~WeightedKnowledgeBase.wdist_dense` ranks
+every interpretation with one matrix–vector product.
 """
 
 from __future__ import annotations
@@ -49,11 +41,7 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
 from repro.distances import kernels
-from repro.distances.base import (
-    DrasticDistance,
-    HammingDistance,
-    InterpretationDistance,
-)
+from repro.distances.base import HammingDistance, InterpretationDistance
 from repro.errors import VocabularyError, WeightError
 from repro.logic.enumeration import models
 from repro.logic.interpretation import Interpretation, Vocabulary
@@ -63,7 +51,6 @@ from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment, CacheInfo
 from repro.orders.preorder import TotalPreorder
 
 __all__ = [
-    "DENSE_EXACT_LIMIT",
     "WeightedKnowledgeBase",
     "WeightedLoyalAssignment",
     "WdistOrderBuilder",
@@ -75,11 +62,6 @@ __all__ = [
 ]
 
 Weight = Union[int, float, Fraction]
-
-#: Integer totals below this bound survive float64 round trips exactly
-#: (doubles represent every integer up to 2^53), so the dense backend is
-#: bit-equivalent to the Fraction reference under ``impl="auto"``.
-DENSE_EXACT_LIMIT = 2**53
 
 
 def _to_fraction(value: Weight) -> Fraction:
@@ -96,26 +78,14 @@ def _to_fraction(value: Weight) -> Fraction:
     return result
 
 
-def _resolve_impl(impl: str) -> str:
-    if impl not in ("auto", "numpy", "python"):
-        raise ValueError(f"unknown weighted impl {impl!r}")
-    if impl == "numpy" and np is None:
-        raise RuntimeError("numpy backend requested but numpy is not installed")
-    return impl
-
-
-def _integer_metric(metric: InterpretationDistance) -> bool:
-    return isinstance(metric, (HammingDistance, DrasticDistance))
-
-
 class WeightedKnowledgeBase:
     """A total function from interpretations to non-negative weights.
 
-    Canonically stored sparsely (absent interpretations weigh 0) as exact
+    Stored sparsely (absent interpretations weigh 0) as exact
     :class:`~fractions.Fraction` values; a dense float64 mask-indexed
-    vector (:meth:`dense`) is derived lazily and cached for the vectorized
-    paths.  Immutable and hashable; supports the paper's ⊔ (``|``) and ⊓
-    (``&``).
+    vector (:meth:`dense`) is derived lazily and cached for the dense
+    audit engine.  Immutable and hashable; supports the paper's ⊔
+    (``|``) and ⊓ (``&``).
 
     >>> v = Vocabulary(["s", "d", "q"])
     >>> kb = WeightedKnowledgeBase.from_weights(v, {
@@ -128,12 +98,11 @@ class WeightedKnowledgeBase:
     Fraction(0, 1)
     """
 
-    __slots__ = ("_vocabulary", "_weights", "_hash", "_int_total", "_dense")
+    __slots__ = ("_vocabulary", "_weights", "_hash", "_dense")
 
     def __init__(self, vocabulary: Vocabulary, mask_weights: Mapping[int, Weight]):
         cleaned: dict[int, Fraction] = {}
         limit = vocabulary.interpretation_count
-        int_total: Optional[int] = 0
         for mask, raw in mask_weights.items():
             if mask < 0 or mask >= limit:
                 raise VocabularyError(
@@ -142,15 +111,9 @@ class WeightedKnowledgeBase:
             weight = _to_fraction(raw)
             if weight > 0:
                 cleaned[mask] = weight
-                if int_total is not None:
-                    if weight.denominator == 1:
-                        int_total += weight.numerator
-                    else:
-                        int_total = None
         self._vocabulary = vocabulary
         self._weights = cleaned
         self._hash = hash((vocabulary, frozenset(cleaned.items())))
-        self._int_total = int_total
         self._dense = None
 
     # -- constructors ---------------------------------------------------------
@@ -218,7 +181,7 @@ class WeightedKnowledgeBase:
         Float entries convert to *exact* binary fractions (no denominator
         limiting): a round trip ``kb.dense() -> from_dense`` is the
         identity whenever the weights are float-representable, which is
-        what the dense connective paths rely on.
+        what the dense audit engine relies on.
         """
         values = vector.tolist() if np is not None and isinstance(
             vector, np.ndarray
@@ -301,26 +264,6 @@ class WeightedKnowledgeBase:
             self._dense = array
         return self._dense
 
-    @property
-    def dense_exact(self) -> bool:
-        """True iff the dense float64 backend is provably lossless for
-        this knowledge base: every weight is an integer and the total
-        stays below :data:`DENSE_EXACT_LIMIT` (so no pointwise sum of two
-        such bases can round)."""
-        return (
-            np is not None
-            and self._int_total is not None
-            and self._int_total < DENSE_EXACT_LIMIT
-        )
-
-    def _use_dense(self, impl: str, *others: "WeightedKnowledgeBase") -> bool:
-        resolved = _resolve_impl(impl)
-        if resolved == "numpy":
-            return True
-        if resolved == "python":
-            return False
-        return self.dense_exact and all(other.dense_exact for other in others)
-
     # -- the paper's weighted connectives ----------------------------------------
 
     def _check(self, other: "WeightedKnowledgeBase") -> None:
@@ -329,39 +272,17 @@ class WeightedKnowledgeBase:
                 "weighted knowledge bases are over different vocabularies"
             )
 
-    def join(
-        self, other: "WeightedKnowledgeBase", impl: str = "auto"
-    ) -> "WeightedKnowledgeBase":
+    def join(self, other: "WeightedKnowledgeBase") -> "WeightedKnowledgeBase":
         """``⊔``: pointwise sum of weights (the semantics of ∨)."""
         self._check(other)
-        use_dense = self._use_dense(impl, other)
-        if use_dense and _resolve_impl(impl) == "auto":
-            # Pointwise sums are bounded by the summed totals; both totals
-            # are integers here (dense_exact), so this keeps every entry
-            # of the sum inside the float64-exact integer range.
-            use_dense = (
-                self._int_total is not None
-                and other._int_total is not None
-                and self._int_total + other._int_total < DENSE_EXACT_LIMIT
-            )
-        if use_dense:
-            return WeightedKnowledgeBase.from_dense(
-                self._vocabulary, self.dense() + other.dense()
-            )
         combined = dict(self._weights)
         for mask, weight in other._weights.items():
             combined[mask] = combined.get(mask, Fraction(0)) + weight
         return WeightedKnowledgeBase(self._vocabulary, combined)
 
-    def meet(
-        self, other: "WeightedKnowledgeBase", impl: str = "auto"
-    ) -> "WeightedKnowledgeBase":
+    def meet(self, other: "WeightedKnowledgeBase") -> "WeightedKnowledgeBase":
         """``⊓``: pointwise minimum of weights (the semantics of ∧)."""
         self._check(other)
-        if self._use_dense(impl, other):
-            return WeightedKnowledgeBase.from_dense(
-                self._vocabulary, np.minimum(self.dense(), other.dense())
-            )
         combined: dict[int, Fraction] = {}
         for mask, weight in self._weights.items():
             other_weight = other._weights.get(mask)
@@ -372,30 +293,17 @@ class WeightedKnowledgeBase:
     __or__ = join
     __and__ = meet
 
-    def scaled(self, factor: Weight, impl: str = "auto") -> "WeightedKnowledgeBase":
+    def scaled(self, factor: Weight) -> "WeightedKnowledgeBase":
         """Every weight multiplied by a non-negative factor."""
         multiplier = _to_fraction(factor)
-        if self._use_dense(impl) and (
-            _resolve_impl(impl) == "numpy"
-            or (
-                multiplier.denominator == 1
-                and self._int_total is not None
-                and self._int_total * multiplier.numerator < DENSE_EXACT_LIMIT
-            )
-        ):
-            return WeightedKnowledgeBase.from_dense(
-                self._vocabulary, self.dense() * float(multiplier)
-            )
         return WeightedKnowledgeBase(
             self._vocabulary,
             {mask: weight * multiplier for mask, weight in self._weights.items()},
         )
 
-    def implies(self, other: "WeightedKnowledgeBase", impl: str = "auto") -> bool:
+    def implies(self, other: "WeightedKnowledgeBase") -> bool:
         """The paper's ``ψ̃ → φ̃``: pointwise ``ψ̃(I) ≤ φ̃(I)``."""
         self._check(other)
-        if self._use_dense(impl, other):
-            return bool(np.all(self.dense() <= other.dense()))
         return all(
             weight <= other._weights.get(mask, Fraction(0))
             for mask, weight in self._weights.items()
@@ -412,31 +320,13 @@ class WeightedKnowledgeBase:
         self,
         interpretation: Interpretation,
         distance: Optional[InterpretationDistance] = None,
-        impl: str = "auto",
     ) -> Fraction:
-        """The paper's ``wdist(ψ̃, I) = Σ_J dist(I, J) · ψ̃(J)``.
-
-        The dense path computes one distance-row · weight-vector dot
-        product; ``auto`` takes it only when it is exact (integer weights
-        under an integer metric, within :data:`DENSE_EXACT_LIMIT`), so the
-        returned :class:`~fractions.Fraction` matches the reference sum
-        bit for bit.
-        """
+        """The paper's ``wdist(ψ̃, I) = Σ_J dist(I, J) · ψ̃(J)``, exactly."""
         if interpretation.vocabulary != self._vocabulary:
             raise VocabularyError(
                 "interpretation vocabulary differs from the knowledge base's"
             )
         metric = distance if distance is not None else HammingDistance()
-        resolved = _resolve_impl(impl)
-        use_dense = resolved == "numpy" or (
-            resolved == "auto"
-            and self.dense_exact
-            and _integer_metric(metric)
-            and self._int_total is not None
-            and self._int_total * max(1, self._vocabulary.size) < DENSE_EXACT_LIMIT
-        )
-        if use_dense:
-            return Fraction(float(self.wdist_dense(metric)[interpretation.mask]))
         total = Fraction(0)
         for mask, weight in self._weights.items():
             total += (
@@ -451,9 +341,9 @@ class WeightedKnowledgeBase:
         """``wdist(ψ̃, I)`` for *every* mask at once, as a float64 vector:
         the full pairwise distance matrix times :meth:`dense`.
 
-        This is the matvec the audit engine batches over; it is exact
-        whenever :attr:`dense_exact` holds and the metric is
-        integer-valued.  Requires numpy.
+        Exact for integer weights under an integer-valued metric while
+        the sums stay below 2^53, where float64 is lossless.  Requires
+        numpy.
         """
         if np is None:
             raise RuntimeError("dense wdist requires numpy")
@@ -465,12 +355,7 @@ class WeightedKnowledgeBase:
         )
         return matrix @ self.dense()
 
-    def degree_of_belief(
-        self,
-        formula: Formula,
-        engine=None,
-        impl: str = "auto",
-    ) -> Fraction:
+    def degree_of_belief(self, formula: Formula, engine=None) -> Fraction:
         """Normalized weight of the formula's models: the fraction of the
         knowledge base's total weight lying inside ``Mod(φ)``.
 
@@ -489,12 +374,6 @@ class WeightedKnowledgeBase:
                 "weighted knowledge base"
             )
         formula_models = models(formula, self._vocabulary, engine)
-        if self._use_dense(impl):
-            vector = self.dense()
-            inside_value = float(
-                np.add.reduce(vector[list(formula_models.masks)])
-            ) if formula_models.masks else 0.0
-            return Fraction(inside_value) / Fraction(float(np.add.reduce(vector)))
         inside = sum(
             (
                 weight
@@ -575,14 +454,10 @@ class WdistOrderBuilder:
     def __call__(self, knowledge_base: WeightedKnowledgeBase) -> TotalPreorder:
         vocabulary = knowledge_base.vocabulary
         if not self.vectorized:
-            metric = self.metric
-
-            def key(mask: int) -> Fraction:
-                return knowledge_base.wdist(
-                    Interpretation(vocabulary, mask), metric, impl="python"
-                )
-
-            return TotalPreorder.from_key(vocabulary, key)
+            return TotalPreorder.from_key(
+                vocabulary,
+                lambda mask: knowledge_base.wdist(Interpretation(vocabulary, mask), self.metric),
+            )
         support = sorted(knowledge_base._weights.items())
         return TotalPreorder.lazy(
             vocabulary,

@@ -33,9 +33,10 @@ audit checks; this package makes the checking fast:
   pool workers map read-only views instead of rebuilding, with
   bit-identical per-segment fallback;
 * :mod:`repro.engine.journal` — the durable chunk journal behind
-  ``repro audit --journal/--resume``: completed chunks are fsynced to
-  disk and a killed sweep resumes to a cell-identical matrix.  Boolean
-  sweeps only: ``repro audit --weighted --journal`` is refused.
+  ``repro audit --journal/--resume`` and ``repro soak --journal``:
+  completed chunks are fsynced to disk and a killed sweep resumes to a
+  cell-identical matrix.  Boolean sweeps only: ``repro audit --weighted
+  --journal`` is refused.
 
 Entry points, one per representation, at every job count:
 :func:`run_audit` for operator × axiom sweeps, dense or symbolic
@@ -68,7 +69,6 @@ from repro.engine.chunks import (
 )
 from repro.engine.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.engine.journal import (
-    AUDIT_JOURNAL_VERSION,
     ChunkJournal,
     audit_manifest_config,
 )
@@ -133,7 +133,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
-    "AUDIT_JOURNAL_VERSION",
     "ChunkJournal",
     "audit_manifest_config",
     "MIN_SHARED_BYTES",

@@ -1,30 +1,31 @@
-"""Disk journal for resumable parallel audits.
+"""The chunk journal: durable progress for resumable audits and soaks.
 
-The audit engine's chunk plan is fully deterministic — a chunk is
-identified by data alone (index range or captured RNG state, see
-:mod:`repro.engine.chunks`) — so a killed sweep loses nothing it has
-durably recorded.  :class:`ChunkJournal` records every *absorbed* chunk
-outcome; on resume the parent replays those records through the same
-min-global-index merge the live run uses, skips the completed chunks
-exactly, and evaluates only the rest.  The resumed matrix is
-cell-identical to an uninterrupted run — including under
-``stop_at_first``, where a counterexample journaled before the kill must
-still win the merge against anything found after it if its global
-scenario index is smaller.
+A run whose work is a deterministic sequence of chunks, each identified
+by data alone, loses nothing it has durably recorded when it is killed.
+An audit chunk is an index range or a captured RNG state
+(:mod:`repro.engine.chunks`); a soak chunk boundary is a captured RNG
+state plus the serialized knowledge base, ledger and trace window
+(:mod:`repro.soak.harness`).  :class:`ChunkJournal` records every
+completed chunk, and a resumed run replays the records and evaluates
+only the rest.  A resumed audit matrix is cell-identical to an
+uninterrupted run's, including under ``stop_at_first``: a counterexample
+journaled before the kill still wins the min-global-index merge against
+anything found after it.  A resumed soak ends with the same state and
+ledger digests.
 
-The durability contract mirrors :class:`repro.soak.SoakJournal`:
+Layout under the journal directory:
 
 ``manifest.json``
-    The audit's configuration (operators, axioms, vocabulary, scenario
-    budget, integer seed, chunking, per-unit plan fingerprints) plus a
-    SHA-256 digest of it, written atomically (temp file, fsync, rename).
-    Resuming under any other configuration is refused — the chunk
-    indices would mean different scenarios — and so is a torn manifest.
+    The run's configuration (a plain JSON dict) and its SHA-256 digest,
+    written atomically (temp file, fsync, rename).  Resuming under any
+    other configuration is refused, since the journaled chunks would
+    describe a different run, and so is a torn manifest.
 ``journal.jsonl``
     One JSON record per completed chunk, appended and fsynced
     (:func:`repro.kb.serialize.append_json_lines`).  A torn final line
     (killed mid-write) is dropped on read and cut off before the next
-    append; mid-file corruption raises.
+    append; mid-file corruption, and a record its reader's ``check``
+    refuses, raise a :class:`~repro.errors.ReproError` naming the line.
 
 Only integer-seeded audits are journalable: a shared ``random.Random``
 has no stable identity across processes, so its plan cannot be refused
@@ -33,33 +34,34 @@ or replayed safely.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
+import re
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import ReproError
+from repro.logic.bitsets import bits_of_model_set, model_set_of_bits
 from repro.logic.interpretation import Vocabulary
 from repro.postulates.counterexample import Counterexample
 
 __all__ = [
-    "AUDIT_JOURNAL_VERSION",
+    "JOURNAL_VERSION",
     "ChunkJournal",
     "audit_manifest_config",
     "encode_counterexample",
     "decode_counterexample",
     "encode_chunk_record",
+    "check_chunk_record",
     "decode_chunk_record",
 ]
 
-AUDIT_JOURNAL_VERSION = 1
+JOURNAL_VERSION = 1
 
 _MANIFEST = "manifest.json"
 _JOURNAL = "journal.jsonl"
 
 
-# -- configuration digest ---------------------------------------------------------
+# -- audit configuration ----------------------------------------------------------
 
 
 def audit_manifest_config(
@@ -91,18 +93,11 @@ def audit_manifest_config(
     }
 
 
-def _digest(config: dict[str, Any]) -> str:
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 # -- counterexample / outcome (de)serialization ----------------------------------
 
 
 def encode_counterexample(counterexample: Counterexample) -> dict[str, Any]:
     """A counterexample as plain JSON (model sets as hex bit-vectors)."""
-    from repro.engine.batched import bits_of_model_set
-
     return {
         "axiom": counterexample.axiom,
         "operator": counterexample.operator,
@@ -122,8 +117,6 @@ def decode_counterexample(
     vocabulary: Vocabulary, data: dict[str, Any]
 ) -> Counterexample:
     """Inverse of :func:`encode_counterexample`."""
-    from repro.engine.batched import model_set_of_bits
-
     return Counterexample(
         axiom=data["axiom"],
         operator=data["operator"],
@@ -141,46 +134,73 @@ def decode_counterexample(
 
 def encode_chunk_record(outcome, count: int) -> dict[str, Any]:
     """One journal line for an absorbed ``ChunkOutcome``."""
-    record: dict[str, Any] = {
+    counterexample = outcome.counterexample
+    return {
         "unit": outcome.unit,
         "ordinal": outcome.ordinal,
         "start": outcome.start,
         "count": count,
         "first_offset": outcome.first_offset,
-        "ce": None,
+        "ce": None if counterexample is None else encode_counterexample(counterexample),
     }
-    if outcome.counterexample is not None:
-        record["ce"] = encode_counterexample(outcome.counterexample)
-    return record
+
+
+#: The fields of :func:`encode_chunk_record` output, and of its ``ce``.
+_CHUNK_FIELDS = {
+    "unit": int,
+    "ordinal": int,
+    "start": int,
+    "count": int,
+    "first_offset": (int, type(None)),
+    "ce": (dict, type(None)),
+}
+_COUNTEREXAMPLE_FIELDS = {
+    "axiom": str,
+    "operator": str,
+    "roles": dict,
+    "observed": dict,
+    "explanation": str,
+}
+_HEX_BITS = re.compile(r"0x[0-9a-f]+")
+
+
+def check_chunk_record(record: Any) -> None:
+    """Refuse a journal line that is not :func:`encode_chunk_record`
+    output: a missing or mistyped field, or a model set that is not a hex
+    bit-vector."""
+    from repro.kb.serialize import check_fields
+
+    check_fields(record, _CHUNK_FIELDS, "audit chunk record")
+    counterexample = record["ce"]
+    if counterexample is not None:
+        check_fields(counterexample, _COUNTEREXAMPLE_FIELDS, "journaled counterexample")
+        for bits in (*counterexample["roles"].values(), *counterexample["observed"].values()):
+            if not (isinstance(bits, str) and _HEX_BITS.fullmatch(bits)):
+                raise ReproError(f"malformed journaled counterexample: {bits!r} is not hex")
 
 
 def decode_chunk_record(
     vocabulary: Vocabulary, record: dict[str, Any]
 ) -> dict[str, Any]:
-    """Journal line → ``ChunkOutcome`` keyword arguments.
+    """A :func:`check_chunk_record`-checked journal line → ``ChunkOutcome``
+    keyword arguments.
 
     Returns kwargs rather than the dataclass to keep this module free of
     an import cycle with :mod:`repro.engine.pool`.
     """
-    counterexample = None
-    if record.get("ce") is not None:
-        counterexample = decode_counterexample(vocabulary, record["ce"])
-    return {
-        "unit": int(record["unit"]),
-        "ordinal": int(record["ordinal"]),
-        "start": int(record["start"]),
-        "first_offset": (
-            None if record["first_offset"] is None else int(record["first_offset"])
-        ),
-        "counterexample": counterexample,
-    }
+    kwargs = {key: record[key] for key in ("unit", "ordinal", "start", "first_offset")}
+    counterexample = record["ce"]
+    kwargs["counterexample"] = (
+        None if counterexample is None else decode_counterexample(vocabulary, counterexample)
+    )
+    return kwargs
 
 
 # -- the journal ------------------------------------------------------------------
 
 
 class ChunkJournal:
-    """Append-only audit chunk journal rooted at one directory."""
+    """Append-only chunk journal rooted at one directory."""
 
     def __init__(self, directory: str | os.PathLike):
         self._dir = Path(directory)
@@ -204,54 +224,55 @@ class ChunkJournal:
     # -- lifecycle ---------------------------------------------------------------
 
     def initialize(self, config: dict[str, Any]) -> None:
-        """Start a fresh journal; refuses to clobber an existing one."""
+        """Start a fresh journal for ``config``; refuses to clobber one."""
         # Imported here: repro.kb imports the operators, which import
         # this package.
-        from repro.kb.serialize import save_json_snapshot
+        from repro.kb.serialize import canonical_digest, save_json_snapshot
 
         if self.exists():
             raise ReproError(
-                f"audit journal already exists at {self._dir}; "
-                "pass resume=True (repro audit --resume) to continue it"
+                f"a journal already exists at {self._dir}; pass resume=True "
+                "(--resume) to continue it"
             )
         self._dir.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "version": AUDIT_JOURNAL_VERSION,
-            "digest": _digest(config),
-            "config": config,
-        }
-        save_json_snapshot(str(self.manifest_path), manifest)
+        save_json_snapshot(
+            str(self.manifest_path),
+            {"version": JOURNAL_VERSION, "digest": canonical_digest(config), "config": config},
+        )
 
     def validate(self, config: dict[str, Any]) -> None:
-        """Check the on-disk manifest matches ``config``'s digest exactly.
+        """Refuse to resume unless the manifest was written for ``config``.
 
-        The digest covers everything that maps global scenario indices to
-        scenarios (vocabulary, rosters, budget, seed, chunking, per-unit
-        plan fingerprints), so a mismatch means the journal's completed
-        chunks describe a *different* sweep — resuming would silently mix
-        two scenario spaces, hence the refusal.
+        The digest is recomputed from the stored config, so manifests
+        with and without a stored digest both resume.  A mismatch means
+        the journaled chunks describe a *different* run (another seed,
+        budget, vocabulary or chunking), and resuming would silently mix
+        the two.
         """
-        from repro.kb.serialize import load_json_snapshot
+        from repro.kb.serialize import canonical_json, load_json_snapshot
 
         if not self.exists():
-            raise ReproError(f"no audit journal at {self._dir}")
-        manifest = load_json_snapshot(
-            str(self.manifest_path), what="audit journal manifest"
-        )
+            raise ReproError(f"no journal at {self._dir}")
+        manifest = load_json_snapshot(str(self.manifest_path), what="journal manifest")
         version = manifest.get("version")
-        if version != AUDIT_JOURNAL_VERSION:
+        if version != JOURNAL_VERSION:
             raise ReproError(
-                f"unsupported audit journal version: found {version!r}, "
-                f"expected {AUDIT_JOURNAL_VERSION}"
+                f"unsupported journal version at {self._dir}: found "
+                f"{version!r}, expected {JOURNAL_VERSION}"
             )
-        expected = _digest(config)
-        if manifest.get("digest") != expected:
+        recorded = manifest.get("config")
+        if not isinstance(recorded, dict):
+            raise ReproError(f"malformed journal manifest at {self._dir}: no config")
+        if canonical_json(recorded) != canonical_json(config):
+            differing = sorted(
+                key
+                for key in recorded.keys() | config.keys()
+                if canonical_json(recorded.get(key)) != canonical_json(config.get(key))
+            )
             raise ReproError(
-                "audit journal config mismatch: journal was written for a "
-                "different scenario plan (digest "
-                f"{manifest.get('digest')!r} != {expected!r}); refusing to "
-                "resume — the journaled chunk indices would describe "
-                "different scenarios under this configuration"
+                f"the journal at {self._dir} was written for another "
+                f"configuration (differs in {', '.join(differing)}); refusing "
+                "to resume, since its chunks would describe a different run"
             )
 
     # -- records -----------------------------------------------------------------
@@ -262,15 +283,18 @@ class ChunkJournal:
 
         append_json_lines(str(self.journal_path), [record])
 
-    def records(self) -> list[dict[str, Any]]:
+    def records(
+        self, check: Optional[Callable[[Any], None]] = None
+    ) -> list[dict[str, Any]]:
         """All intact chunk records, oldest first.
 
-        A torn final line (the process died mid-write) is dropped — that
+        A torn final line (the process died mid-write) is dropped: that
         chunk was not durably completed, and the next append cuts it
-        off; corruption anywhere else raises.
+        off.  Corruption anywhere else, and a record ``check`` refuses,
+        raise a :class:`ReproError` naming the file and the line.
         """
         from repro.kb.serialize import read_json_lines
 
         if not self.journal_path.is_file():
             return []
-        return read_json_lines(str(self.journal_path), "audit journal record")
+        return read_json_lines(str(self.journal_path), "journal record", check)

@@ -100,6 +100,7 @@ from repro.engine.faults import FaultPlan, trip
 from repro.engine.journal import (
     ChunkJournal,
     audit_manifest_config,
+    check_chunk_record,
     decode_chunk_record,
     encode_chunk_record,
 )
@@ -996,7 +997,7 @@ def run_audit(
             journal.initialize(manifest_config)
             return journal, completed
         journal.validate(manifest_config)
-        for record in journal.records():
+        for record in journal.records(check_chunk_record):
             kwargs = decode_chunk_record(vocabulary, record)
             unit_id, ordinal = kwargs["unit"], kwargs["ordinal"]
             if not 0 <= unit_id < len(units):

@@ -20,6 +20,7 @@ manifests, and append-only JSON lines (:func:`append_json_lines`,
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -40,12 +41,14 @@ __all__ = [
     "weighted_kb_from_dict",
     "change_record_to_dict",
     "check_change_record",
+    "check_fields",
     "check_knowledge_base_dict",
     "knowledge_base_to_dict",
     "knowledge_base_from_dict",
     "knowledge_base_to_json",
     "knowledge_base_from_json",
     "canonical_json",
+    "canonical_digest",
     "atomic_write_text",
     "save_json_snapshot",
     "load_json_snapshot",
@@ -72,16 +75,31 @@ def _check_version(data: dict[str, Any], what: str) -> None:
         )
 
 
-def _require(data: dict[str, Any], field: str, kind: type, what: str) -> Any:
-    """``data[field]`` when it is a ``kind``; a :class:`ReproError`
-    naming the field otherwise (a stored payload is outside input)."""
-    value = data.get(field)
+def _require(data: dict[str, Any], field: str, kind: Any, what: str) -> Any:
+    """``data[field]`` when it is a ``kind`` (a type or a tuple of types);
+    a :class:`ReproError` naming the field otherwise (a stored payload is
+    outside input)."""
+    if field not in data:
+        raise ReproError(f"malformed {what}: {field!r} is missing")
+    value = data[field]
     if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
         raise ReproError(
-            f"malformed {what}: {field!r} must be a {kind.__name__}, "
+            f"malformed {what}: {field!r} must be a {names}, "
             f"got {type(value).__name__}"
         )
     return value
+
+
+def check_fields(data: Any, fields: dict[str, Any], what: str) -> None:
+    """Refuse ``data`` unless it is an object whose every field in
+    ``fields`` holds a value of its type (a type or a tuple of types)."""
+    if not isinstance(data, dict):
+        raise ReproError(
+            f"malformed {what}: expected an object, got {type(data).__name__}"
+        )
+    for field, kind in fields.items():
+        _require(data, field, kind, what)
 
 
 def _require_masks(data: dict[str, Any], field: str, what: str) -> list:
@@ -227,6 +245,12 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def canonical_digest(value: Any) -> str:
+    """SHA-256 of :func:`canonical_json`: equal exactly when the values
+    render identically."""
+    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
+
+
 def append_json_lines(path: str, values: Sequence[Any]) -> None:
     """Durably append ``values`` to a JSON-lines file, one canonical
     document per line: one open, one write, one fsync.
@@ -296,10 +320,12 @@ def decode_json_lines(
     return values
 
 
-def read_json_lines(path: str, what: str) -> list[Any]:
+def read_json_lines(
+    path: str, what: str, check: Optional[Callable[[Any], None]] = None
+) -> list[Any]:
     """Every intact record of a JSON-lines file (:func:`decode_json_lines`)."""
     with open(path, "rb") as handle:
-        return decode_json_lines(handle.read(), what, path)
+        return decode_json_lines(handle.read(), what, path, check=check)
 
 
 def change_record_to_dict(record: ChangeRecord) -> dict[str, Any]:
@@ -318,12 +344,7 @@ def check_change_record(entry: Any) -> None:
     """Refuse an entry that lacks a field of :func:`change_record_to_dict`
     or holds one of the wrong type."""
     what = "change record"
-    if not isinstance(entry, dict):
-        raise ReproError(
-            f"malformed {what}: expected an object, got {type(entry).__name__}"
-        )
-    for field in ("operation", "operator", "incoming"):
-        _require(entry, field, str, what)
+    check_fields(entry, {"operation": str, "operator": str, "incoming": str}, what)
     for field in ("before", "after"):
         _require_masks(entry, field, what)
 

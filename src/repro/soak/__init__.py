@@ -18,19 +18,25 @@ Three pieces:
   step, commutativity spot-checks, revision/update success and vacuity,
   serialize round-trips, fixed-point/cycle bookkeeping via
   :class:`~repro.core.iterated.Trace`);
-* :mod:`repro.soak.journal` + :mod:`repro.soak.harness` — chunked
-  journaling with the same deterministic-chunk contract as the audit
-  engine (a chunk boundary is a captured RNG state plus a serialized
-  knowledge base), so a soak killed mid-stream resumes draw-identically:
-  the resumed run's final state and ledger equal an uninterrupted run's.
+* :mod:`repro.soak.harness` — the runner, which journals every chunk
+  boundary (a captured RNG state plus a serialized knowledge base) in
+  the audit engine's :class:`~repro.engine.journal.ChunkJournal`, so a
+  soak killed mid-stream resumes draw-identically: the resumed run's
+  final state and ledger equal an uninterrupted run's.
 
 Surfaced as ``repro soak --steps/--seed/--journal/--resume/--metrics-out``.
 """
 
 from repro.soak.harness import SoakReport, run_soak, state_digest
 from repro.soak.invariants import InvariantLedger, OnlineInvariants
-from repro.soak.journal import SoakJournal, decode_rng_state, encode_rng_state
-from repro.soak.stream import STEP_KINDS, SoakConfig, SoakStep, draw_step
+from repro.soak.stream import (
+    STEP_KINDS,
+    SoakConfig,
+    SoakStep,
+    decode_rng_state,
+    draw_step,
+    encode_rng_state,
+)
 
 __all__ = [
     "SoakConfig",
@@ -39,7 +45,6 @@ __all__ = [
     "draw_step",
     "InvariantLedger",
     "OnlineInvariants",
-    "SoakJournal",
     "encode_rng_state",
     "decode_rng_state",
     "SoakReport",

@@ -4,8 +4,10 @@
 through the configured stream chunk by chunk.  At every chunk boundary it
 journals the captured RNG state, the serialized (history-rebased)
 knowledge base, the invariant ledger, and the rolling trace window — the
-complete resumable state — so a run killed anywhere resumes from the last
-boundary and replays the lost partial chunk draw-identically.  The
+complete resumable state — in the audit engine's
+:class:`~repro.engine.journal.ChunkJournal`, so a run killed anywhere
+resumes from the last boundary and replays the lost partial chunk
+draw-identically.  The
 history rebase (provenance is dropped at each boundary, after the
 round-trip checks inside the chunk have exercised it) keeps memory flat
 over million-step streams; it happens at the same stream positions in
@@ -21,8 +23,6 @@ journaled ledger.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 import time
 from dataclasses import dataclass, field
@@ -30,18 +30,30 @@ from typing import Any, Optional
 
 from repro import obs
 from repro.core.fitting import ReveszFitting
+from repro.engine.journal import ChunkJournal
 from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.serialize import knowledge_base_from_dict, knowledge_base_to_dict
+from repro.kb.serialize import (
+    canonical_digest,
+    check_fields,
+    check_knowledge_base_dict,
+    knowledge_base_from_dict,
+    knowledge_base_to_dict,
+)
 from repro.logic.enumeration import form_formula, models
 from repro.logic.semantics import ModelSet
 from repro.operators.revision import DalalRevision
 from repro.operators.update import WinslettUpdate
 from repro.soak.invariants import InvariantLedger, OnlineInvariants
-from repro.soak.journal import SoakJournal, decode_rng_state, encode_rng_state
-from repro.soak.stream import SoakConfig, SoakStep, draw_step
+from repro.soak.stream import (
+    SoakConfig,
+    SoakStep,
+    decode_rng_state,
+    draw_step,
+    encode_rng_state,
+)
 
-__all__ = ["SoakReport", "run_soak", "state_digest"]
+__all__ = ["SoakReport", "check_soak_record", "run_soak", "state_digest"]
 
 
 def state_digest(kb: KnowledgeBase) -> str:
@@ -50,8 +62,7 @@ def state_digest(kb: KnowledgeBase) -> str:
         "atoms": list(kb.vocabulary.atoms),
         "masks": list(kb.model_set.masks),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical_digest(payload)
 
 
 @dataclass
@@ -101,30 +112,44 @@ class SoakReport:
         return "\n".join(lines)
 
 
-def _fresh_kb(config: SoakConfig, revision, update, fitting) -> KnowledgeBase:
-    vocabulary = config.vocabulary()
-    universe = ModelSet.universe(vocabulary)
-    return KnowledgeBase(
-        form_formula(universe),
-        atoms=list(vocabulary.atoms),
-        revision=revision,
-        update=update,
-        fitting=fitting,
-        _models=universe,
-    )
-
-
-def _rebase(kb: KnowledgeBase, revision, update, fitting) -> KnowledgeBase:
-    """Drop provenance, keep state — bounds history growth per chunk."""
-    state = kb.model_set
+def _kb_at(state: ModelSet, revision, update, fitting) -> KnowledgeBase:
+    """A knowledge base in ``state`` with no provenance (the stream's
+    start; each chunk boundary, where dropping it bounds history growth)."""
     return KnowledgeBase(
         form_formula(state),
-        atoms=list(kb.vocabulary.atoms),
+        atoms=list(state.vocabulary.atoms),
         revision=revision,
         update=update,
         fitting=fitting,
         _models=state,
     )
+
+
+#: The fields of one journaled chunk boundary.
+_RECORD_FIELDS = {
+    "ordinal": int,
+    "step": int,
+    "rng_state": list,
+    "kb": dict,
+    "window": list,
+    "ledger": dict,
+    "state_digest": str,
+}
+
+
+def check_soak_record(record: Any) -> None:
+    """Refuse a soak journal line that :func:`run_soak` could not resume
+    from: a missing or mistyped field, an RNG state ``Random.setstate``
+    would not take, or a ledger without its keys."""
+    check_fields(record, _RECORD_FIELDS, "soak chunk record")
+    decode_rng_state(record["rng_state"])
+    check_knowledge_base_dict(record["kb"])
+    InvariantLedger.from_dict(record["ledger"])
+    if not all(
+        isinstance(state, list) and all(isinstance(mask, int) for mask in state)
+        for state in record["window"]
+    ):
+        raise ReproError("malformed soak chunk record: 'window' must hold mask lists")
 
 
 def _apply_step(kb: KnowledgeBase, step: SoakStep) -> KnowledgeBase:
@@ -159,24 +184,21 @@ def run_soak(
     revision, update, fitting = DalalRevision(), WinslettUpdate(), ReveszFitting()
 
     generator = random.Random(config.seed)
-    kb = _fresh_kb(config, revision, update, fitting)
+    universe = ModelSet.universe(vocabulary)
+    kb = _kb_at(universe, revision, update, fitting)
     invariants = OnlineInvariants(config, fitting)
     invariants.seed_window(kb.model_set)
     step_index = 0
     chunk_ordinal = 0
 
-    journal: Optional[SoakJournal] = None
+    journal: Optional[ChunkJournal] = None
     if journal_dir is not None:
-        journal = SoakJournal(journal_dir)
-        if journal.exists():
-            if not resume:
-                raise ReproError(
-                    f"soak journal already exists at {journal.directory}; "
-                    "pass --resume to continue it"
-                )
-            journal.validate(config)
-            record = journal.last_record()
-            if record is not None:
+        journal = ChunkJournal(journal_dir)
+        if resume and journal.exists():
+            journal.validate(config.to_dict())
+            records = journal.records(check_soak_record)
+            if records:
+                record = records[-1]
                 generator.setstate(decode_rng_state(record["rng_state"]))
                 kb = knowledge_base_from_dict(
                     record["kb"],
@@ -189,10 +211,10 @@ def run_soak(
                     record["window"],
                     vocabulary,
                 )
-                step_index = int(record["step"])
-                chunk_ordinal = int(record["ordinal"]) + 1
+                step_index = record["step"]
+                chunk_ordinal = record["ordinal"] + 1
         else:
-            journal.initialize(config)
+            journal.initialize(config.to_dict())
 
     drift: list[dict[str, Any]] = []
     chunks_this_run = 0
@@ -216,7 +238,7 @@ def run_soak(
                 # satisfiable); recover deterministically so one bad state
                 # cannot poison the remaining stream.
                 invariants.ledger.unsat_resets += 1
-                kb = _fresh_kb(config, revision, update, fitting)
+                kb = _kb_at(universe, revision, update, fitting)
             if registry is not None:
                 registry.counter("soak.steps").inc()
                 registry.counter(f"soak.steps.{step.kind}").inc()
@@ -230,7 +252,7 @@ def run_soak(
                     "counters": dict(registry.snapshot()["counters"]),
                 }
             )
-        kb = _rebase(kb, revision, update, fitting)
+        kb = _kb_at(kb.model_set, revision, update, fitting)
         if journal is not None:
             journal.append_chunk(
                 {

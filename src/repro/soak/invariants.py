@@ -33,21 +33,35 @@ Checks, by step kind:
 
 from __future__ import annotations
 
-import hashlib
-import json
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import ModelFittingOperator
 from repro.core.iterated import Trace
+from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.serialize import knowledge_base_from_json, knowledge_base_to_json
+from repro.kb.serialize import (
+    canonical_digest,
+    check_fields,
+    knowledge_base_from_json,
+    knowledge_base_to_json,
+)
 from repro.logic.interpretation import Vocabulary
 from repro.logic.semantics import ModelSet
 from repro.soak.stream import SoakConfig, SoakStep
 
 __all__ = ["InvariantLedger", "OnlineInvariants"]
+
+#: The fields of :meth:`InvariantLedger.to_dict`.
+_LEDGER_FIELDS = {
+    "checks": dict,
+    "violations": list,
+    "fixed_point_steps": int,
+    "cycle_detections": dict,
+    "unsat_resets": int,
+}
 
 
 @dataclass
@@ -92,22 +106,21 @@ class InvariantLedger:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "InvariantLedger":
-        return cls(
-            checks={str(k): int(v) for k, v in data.get("checks", {}).items()},
-            violations=list(data.get("violations", [])),
-            fixed_point_steps=int(data.get("fixed_point_steps", 0)),
-            cycle_detections={
-                str(k): int(v) for k, v in data.get("cycle_detections", {}).items()
-            },
-            unsat_resets=int(data.get("unsat_resets", 0)),
-        )
+    def from_dict(cls, data: Any) -> "InvariantLedger":
+        """Inverse of :meth:`to_dict`; a missing or mistyped field is
+        refused with a :class:`ReproError`."""
+        check_fields(data, _LEDGER_FIELDS, "soak ledger")
+        for violation in data["violations"]:
+            check_fields(violation, {"step": int, "invariant": str, "detail": str}, "soak ledger")
+        counts = [*data["checks"].values(), *data["cycle_detections"].values()]
+        if not all(isinstance(count, int) for count in counts):
+            raise ReproError("malformed soak ledger: counts must be integers")
+        return cls(**{name: copy.copy(data[name]) for name in _LEDGER_FIELDS})
 
     def digest(self) -> str:
         """Canonical SHA-256 of the ledger — two runs checked the same
         stream identically iff their digests match."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return canonical_digest(self.to_dict())
 
 
 class OnlineInvariants:

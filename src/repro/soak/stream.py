@@ -11,7 +11,7 @@ a chunk boundary lets a killed run resume draw-identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
@@ -19,7 +19,15 @@ from repro.logic.interpretation import Vocabulary
 from repro.logic.random_formulas import random_satisfiable_formula
 from repro.logic.syntax import Formula
 
-__all__ = ["STEP_KINDS", "STEP_WEIGHTS", "SoakConfig", "SoakStep", "draw_step"]
+__all__ = [
+    "STEP_KINDS",
+    "STEP_WEIGHTS",
+    "SoakConfig",
+    "SoakStep",
+    "draw_step",
+    "encode_rng_state",
+    "decode_rng_state",
+]
 
 #: The four change verbs a stream mixes, with their relative frequencies.
 #: Revision and arbitration dominate (they are the paper's focus); merges
@@ -63,20 +71,28 @@ class SoakConfig:
         return Vocabulary([chr(ord("a") + index) for index in range(self.atoms)])
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "steps": self.steps,
-            "atoms": self.atoms,
-            "chunk_size": self.chunk_size,
-            "depth": self.depth,
-            "commute_every": self.commute_every,
-            "roundtrip_every": self.roundtrip_every,
-            "trace_window": self.trace_window,
-        }
+        """The config as the plain dict a soak journal's manifest keys on."""
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SoakConfig":
-        return cls(**{key: int(value) for key, value in data.items()})
+
+def encode_rng_state(state: tuple) -> list:
+    """``Random.getstate()`` as plain JSON (tuples become lists)."""
+    version, internal, gauss_next = state
+    return [version, list(internal), gauss_next]
+
+
+def decode_rng_state(data: Any) -> tuple:
+    """Inverse of :func:`encode_rng_state`; anything ``Random.setstate``
+    would not restore is refused with a :class:`ReproError`."""
+    try:
+        version, internal, gauss_next = data
+        state = (version, tuple(internal), gauss_next)
+        if version != random.Random.VERSION or not isinstance(gauss_next, (float, type(None))):
+            raise ValueError(f"not a version {random.Random.VERSION} state")
+        random.Random().setstate(state)
+    except (TypeError, ValueError, OverflowError) as error:
+        raise ReproError(f"malformed rng_state: {error}") from error
+    return state
 
 
 @dataclass(frozen=True)

@@ -1,34 +1,23 @@
 """Property-based laws for the weighted algebra (Section 4).
 
-Hypothesis drives random integer- and Fraction-weighted knowledge bases
-over a three-atom vocabulary through both backends of every connective —
-``impl="python"`` (the exact Fraction reference) and ``impl="numpy"``
-(the dense float64 fast path):
+Hypothesis drives random integer-weighted knowledge bases over a
+three-atom vocabulary through the exact connectives:
 
 * ``⊔`` is commutative and associative with ``zero`` as identity;
 * ``⊓`` is idempotent and commutative;
-* ``support(ψ̃ ⊔ φ̃) = support(ψ̃) ∪ support(φ̃)``;
-* the two backends agree — exactly on Fraction-representable (integer)
-  weights, within float tolerance otherwise.
+* ``support(ψ̃ ⊔ φ̃) = support(ψ̃) ∪ support(φ̃)``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.core.weighted import WeightedKnowledgeBase
-from repro.distances import HammingDistance
-from repro.logic.interpretation import Interpretation, Vocabulary
+from repro.logic.interpretation import Vocabulary
 
 VOCAB = Vocabulary(["a", "b", "c"])
 COUNT = VOCAB.interpretation_count
-
-#: Both backends of every weighted connective.
-IMPLS = ["python", "numpy"]
 
 
 def integer_kbs() -> st.SearchStrategy[WeightedKnowledgeBase]:
@@ -40,99 +29,40 @@ def integer_kbs() -> st.SearchStrategy[WeightedKnowledgeBase]:
     ).map(lambda weights: WeightedKnowledgeBase(VOCAB, weights))
 
 
-def fraction_kbs() -> st.SearchStrategy[WeightedKnowledgeBase]:
-    """Random Fraction weight functions (exercise the exact-only path)."""
-    fractions = st.fractions(
-        min_value=0, max_value=10, max_denominator=16
-    ).filter(lambda q: q > 0)
-    return st.dictionaries(
-        st.integers(min_value=0, max_value=COUNT - 1), fractions, max_size=COUNT
-    ).map(lambda weights: WeightedKnowledgeBase(VOCAB, weights))
-
-
 class TestJoinLaws:
-    @pytest.mark.parametrize("impl", IMPLS)
     @settings(max_examples=100)
     @given(psi=integer_kbs(), phi=integer_kbs())
-    def test_join_commutes(self, impl, psi, phi):
-        assert psi.join(phi, impl=impl).equivalent(phi.join(psi, impl=impl))
+    def test_join_commutes(self, psi, phi):
+        assert psi.join(phi).equivalent(phi.join(psi))
 
-    @pytest.mark.parametrize("impl", IMPLS)
     @settings(max_examples=100)
     @given(psi=integer_kbs(), phi=integer_kbs(), chi=integer_kbs())
-    def test_join_associates(self, impl, psi, phi, chi):
-        left = psi.join(phi, impl=impl).join(chi, impl=impl)
-        right = psi.join(phi.join(chi, impl=impl), impl=impl)
+    def test_join_associates(self, psi, phi, chi):
+        left = psi.join(phi).join(chi)
+        right = psi.join(phi.join(chi))
         assert left.equivalent(right)
 
-    @pytest.mark.parametrize("impl", IMPLS)
     @settings(max_examples=100)
     @given(psi=integer_kbs())
-    def test_zero_is_join_identity(self, impl, psi):
+    def test_zero_is_join_identity(self, psi):
         zero = WeightedKnowledgeBase.zero(VOCAB)
-        assert psi.join(zero, impl=impl).equivalent(psi)
-        assert zero.join(psi, impl=impl).equivalent(psi)
+        assert psi.join(zero).equivalent(psi)
+        assert zero.join(psi).equivalent(psi)
 
-    @pytest.mark.parametrize("impl", IMPLS)
     @settings(max_examples=100)
     @given(psi=integer_kbs(), phi=integer_kbs())
-    def test_join_support_is_union(self, impl, psi, phi):
-        joined = psi.join(phi, impl=impl)
+    def test_join_support_is_union(self, psi, phi):
+        joined = psi.join(phi)
         assert joined.support() == psi.support() | phi.support()
 
 
 class TestMeetLaws:
-    @pytest.mark.parametrize("impl", IMPLS)
     @settings(max_examples=100)
     @given(psi=integer_kbs())
-    def test_meet_idempotent(self, impl, psi):
-        assert psi.meet(psi, impl=impl).equivalent(psi)
-
-    @pytest.mark.parametrize("impl", IMPLS)
-    @settings(max_examples=100)
-    @given(psi=integer_kbs(), phi=integer_kbs())
-    def test_meet_commutes(self, impl, psi, phi):
-        assert psi.meet(phi, impl=impl).equivalent(phi.meet(psi, impl=impl))
-
-
-class TestBackendDifferential:
-    """The dense float64 backend against the Fraction reference."""
+    def test_meet_idempotent(self, psi):
+        assert psi.meet(psi).equivalent(psi)
 
     @settings(max_examples=100)
     @given(psi=integer_kbs(), phi=integer_kbs())
-    def test_integer_weights_agree_exactly(self, psi, phi):
-        # Integer weights are float64-lossless, so both backends must
-        # produce the identical Fraction weight function.
-        assert psi.join(phi, impl="numpy").equivalent(psi.join(phi, impl="python"))
-        assert psi.meet(phi, impl="numpy").equivalent(psi.meet(phi, impl="python"))
-        assert psi.implies(phi, impl="numpy") == psi.implies(phi, impl="python")
-
-    @settings(max_examples=100)
-    @given(psi=integer_kbs())
-    def test_integer_wdist_agrees_exactly(self, psi):
-        metric = HammingDistance()
-        for mask in range(COUNT):
-            interpretation = Interpretation(VOCAB, mask)
-            assert psi.wdist(interpretation, metric, impl="numpy") == psi.wdist(
-                interpretation, metric, impl="python"
-            )
-
-    @settings(max_examples=100)
-    @given(psi=fraction_kbs(), phi=fraction_kbs())
-    def test_fraction_weights_agree_within_tolerance(self, psi, phi):
-        exact = psi.join(phi, impl="python")
-        dense = psi.join(phi, impl="numpy")
-        for mask in range(COUNT):
-            difference = exact.weight_of_mask(mask) - dense.weight_of_mask(mask)
-            assert abs(difference) <= Fraction(1, 10**9)
-
-    @settings(max_examples=100)
-    @given(psi=fraction_kbs(), phi=fraction_kbs())
-    def test_auto_never_picks_dense_on_fractions(self, psi, phi):
-        # A KB with a non-integer weight is outside the provably-exact
-        # domain, so impl="auto" must resolve to the Fraction loop and
-        # agree with it exactly.
-        if psi.dense_exact and phi.dense_exact:
-            return
-        assert psi.join(phi).equivalent(psi.join(phi, impl="python"))
-        assert psi.meet(phi).equivalent(psi.meet(phi, impl="python"))
+    def test_meet_commutes(self, psi, phi):
+        assert psi.meet(phi).equivalent(phi.meet(psi))

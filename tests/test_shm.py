@@ -32,7 +32,7 @@ from repro.bench.experiments import standard_operators
 from repro.core.fitting import ReveszFitting
 from repro.core.weighted import WeightedModelFitting
 from repro.engine.faults import FaultPlan, FaultSpec
-from repro.engine.journal import ChunkJournal, audit_manifest_config
+from repro.engine.journal import ChunkJournal
 from repro.engine.pool import run_audit
 from repro.engine.shm import (
     MIN_SHARED_BYTES,
@@ -325,71 +325,6 @@ class TestNoLeaksUnderFaults:
         assert faulty.results == clean.results
         assert faulty.stats.shm_segments > 0
         assert faulty.failures.pool_restarts >= 1
-
-
-def manifest_for(tmp_path, **overrides) -> dict:
-    config = dict(
-        vocabulary=VOCAB3,
-        operator_names=("dalal",),
-        axiom_names=("R1",),
-        max_scenarios=100,
-        seed=0,
-        stop_at_first=True,
-        chunk_size=64,
-        plan_fingerprints=(),
-    )
-    config.update(overrides)
-    return audit_manifest_config(**config)
-
-
-class TestChunkJournal:
-    def test_initialize_refuses_to_clobber(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j")
-        journal.initialize(manifest_for(tmp_path))
-        with pytest.raises(ReproError):
-            journal.initialize(manifest_for(tmp_path))
-
-    def test_validate_refuses_config_drift(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j")
-        journal.initialize(manifest_for(tmp_path))
-        journal.validate(manifest_for(tmp_path))
-        with pytest.raises(ReproError, match="journal"):
-            journal.validate(manifest_for(tmp_path, max_scenarios=200))
-
-    def test_torn_manifest_refused(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j")
-        journal.initialize(manifest_for(tmp_path))
-        text = journal.manifest_path.read_text(encoding="utf-8")
-        journal.manifest_path.write_text(text[: len(text) // 2], encoding="utf-8")
-        with pytest.raises(ReproError, match="manifest"):
-            journal.validate(manifest_for(tmp_path))
-
-    def test_torn_final_line_dropped_mid_file_corruption_raises(self, tmp_path):
-        journal = ChunkJournal(tmp_path / "j")
-        journal.initialize(manifest_for(tmp_path))
-        journal.append_chunk({"unit": 0, "ordinal": 0, "start": 0, "count": 64})
-        with open(journal.journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"unit": 0, "ordi')  # torn by a kill mid-write
-        assert len(journal.records()) == 1
-        with open(journal.journal_path, "w", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write(json.dumps({"unit": 0, "ordinal": 1}) + "\n")
-        with pytest.raises(ReproError):
-            journal.records()
-
-    def test_append_after_torn_final_line_cuts_it_off(self, tmp_path):
-        # a resumed run appends after a kill's torn line: the new records
-        # must not glue onto the fragment
-        journal = ChunkJournal(tmp_path / "j")
-        journal.initialize(manifest_for(tmp_path))
-        for ordinal in range(2):
-            journal.append_chunk({"unit": 0, "ordinal": ordinal, "start": 0})
-        with open(journal.journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"unit": 0, "ordi')  # torn by a kill mid-write
-        assert [record["ordinal"] for record in journal.records()] == [0, 1]
-        for ordinal in (2, 3):
-            journal.append_chunk({"unit": 0, "ordinal": ordinal, "start": 0})
-        assert [record["ordinal"] for record in journal.records()] == [0, 1, 2, 3]
 
 
 class TestJournaledAudit:

@@ -17,7 +17,6 @@ from repro.errors import ReproError
 from repro.soak import (
     InvariantLedger,
     SoakConfig,
-    SoakJournal,
     decode_rng_state,
     draw_step,
     encode_rng_state,
@@ -36,7 +35,7 @@ def run_cli(*argv: str) -> tuple[int, str]:
 class TestSoakConfig:
     def test_round_trips_through_dict(self):
         config = SoakConfig(seed=7, steps=99, atoms=4, chunk_size=32)
-        assert SoakConfig.from_dict(config.to_dict()) == config
+        assert SoakConfig(**config.to_dict()) == config
 
     def test_vocabulary_atoms(self):
         assert list(SoakConfig(atoms=3).vocabulary().atoms) == ["a", "b", "c"]
@@ -103,63 +102,6 @@ class TestLedger:
         assert restored.to_dict() == ledger.to_dict()
         assert restored.digest() == ledger.digest()
         assert restored.total_checks == 2
-
-
-class TestJournal:
-    def test_initialize_refuses_clobber(self, tmp_path):
-        journal = SoakJournal(tmp_path / "j")
-        journal.initialize(SoakConfig(steps=10))
-        with pytest.raises(ReproError):
-            journal.initialize(SoakConfig(steps=10))
-
-    def test_validate_rejects_config_mismatch(self, tmp_path):
-        journal = SoakJournal(tmp_path / "j")
-        journal.initialize(SoakConfig(steps=10, seed=1))
-        journal.validate(SoakConfig(steps=10, seed=1))
-        with pytest.raises(ReproError):
-            journal.validate(SoakConfig(steps=10, seed=2))
-
-    def test_torn_manifest_refused(self, tmp_path):
-        journal = SoakJournal(tmp_path / "j")
-        journal.initialize(SoakConfig(steps=10))
-        text = journal.manifest_path.read_text(encoding="utf-8")
-        journal.manifest_path.write_text(text[: len(text) // 2], encoding="utf-8")
-        with pytest.raises(ReproError, match="manifest"):
-            journal.validate(SoakConfig(steps=10))
-
-    def test_torn_final_line_is_dropped(self, tmp_path):
-        journal = SoakJournal(tmp_path / "j")
-        journal.initialize(SoakConfig(steps=10))
-        journal.append_chunk({"ordinal": 0, "step": 4})
-        with open(journal.journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"ordinal": 1, "ste')  # killed mid-write
-        records = journal.records()
-        assert [record["ordinal"] for record in records] == [0]
-        assert journal.last_record()["step"] == 4
-
-    def test_append_after_torn_final_line_cuts_it_off(self, tmp_path):
-        # a resumed run appends after a kill's torn line: the new records
-        # must not glue onto the fragment
-        journal = SoakJournal(tmp_path / "j")
-        journal.initialize(SoakConfig(steps=10))
-        for ordinal in range(2):
-            journal.append_chunk({"ordinal": ordinal, "step": 4 * ordinal})
-        with open(journal.journal_path, "a", encoding="utf-8") as handle:
-            handle.write('{"ordinal": 2, "ste')  # killed mid-write
-        assert journal.last_record()["ordinal"] == 1
-        for ordinal in (2, 3):
-            journal.append_chunk({"ordinal": ordinal, "step": 4 * ordinal})
-        assert [record["ordinal"] for record in journal.records()] == [0, 1, 2, 3]
-        assert journal.last_record()["step"] == 12
-
-    def test_mid_file_corruption_raises(self, tmp_path):
-        journal = SoakJournal(tmp_path / "j")
-        journal.initialize(SoakConfig(steps=10))
-        with open(journal.journal_path, "w", encoding="utf-8") as handle:
-            handle.write("not json\n")
-            handle.write('{"ordinal": 1}\n')
-        with pytest.raises(ReproError):
-            journal.records()
 
 
 CONFIG = SoakConfig(
