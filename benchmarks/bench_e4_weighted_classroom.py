@@ -5,9 +5,9 @@ on {D} — the majority flips Example 3.1's outcome.
 
 The speedup section scales E4 (fitting sweeps) and E13 (merge ``wdist``
 ranking) workloads and compares the dense engine path against the legacy
-dict-of-Fraction path (``wdist_assignment(vectorized=False)`` / python
-``wdist``), asserting checksum equality — the measurement behind
-``BENCH_e4_weighted.json``.
+dict-of-Fraction path (``reference_assignment(wdist_assignment())`` from
+``repro.bench.reference`` / python ``wdist``), asserting checksum
+equality — the measurement behind ``BENCH_e4_weighted.json``.
 """
 
 import json

@@ -9,8 +9,8 @@ qualitative shape: the pairwise-diff operators (Satoh/Winslett) scale with
 (Dalal/odist/priority-lex) with |Mod(μ)|·|Mod(ψ)| popcounts (lazy
 pre-orders rank only the candidates, batched through the numpy kernels),
 and arbitration pays one extra universe-sized fit.  The kernel-speedup
-table compares the vectorized default against the pre-refactor scalar
-path (``vectorized=False``) on identical workloads.
+table compares the product operators against the eager scalar reference
+(``repro.bench.reference.reference_operator``) on identical workloads.
 """
 
 import json

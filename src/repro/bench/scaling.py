@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.bench.reference import reference_operator
 from repro.bench.trajectory import save_snapshot, time_paths
 from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import PriorityFitting, ReveszFitting
@@ -165,11 +166,12 @@ def measure_kernel_speedup(
 ) -> list[dict]:
     """E9 headline rows: scalar-vs-vectorized wall time per vocabulary size.
 
-    For each |𝒯|, runs the same seeded workload through the pre-refactor
-    path (``vectorized=False``: eager whole-universe scalar ranking) and
-    the kernel path (lazy pre-order + numpy batch kernels), asserting the
-    checksums agree, and reports the speedup plus the vectorized
-    operators' :meth:`cache_info` counters.
+    For each |𝒯|, runs the same seeded workload through the scalar
+    reference (:func:`repro.bench.reference.reference_operator`: eager
+    whole-universe scalar ranking) and the product operator (lazy
+    pre-order + numpy batch kernels), asserting the checksums agree, and
+    reports the speedup plus the product operators' :meth:`cache_info`
+    counters.
     """
     rows = []
     for num_atoms in atom_counts:
@@ -182,8 +184,8 @@ def measure_kernel_speedup(
             (ReveszFitting, "revesz-odist"),
             (DalalRevision, "dalal"),
         ):
-            scalar_operator = factory(vectorized=False)
-            vector_operator = factory(vectorized=True)
+            vector_operator = factory()
+            scalar_operator = reference_operator(factory())
             timing = time_paths(
                 ("scalar", lambda: run_workload(scalar_operator, workload)),
                 ("vectorized", lambda: run_workload(vector_operator, workload)),
@@ -252,7 +254,7 @@ def write_scaling_snapshot(
         )
         with obs.use() as registry:
             for factory in (ReveszFitting, DalalRevision):
-                run_workload(factory(vectorized=True), workload)
+                run_workload(factory(), workload)
             obs.write_metrics(metrics_path, registry)
     return payload
 

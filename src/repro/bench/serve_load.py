@@ -6,22 +6,27 @@ client its own session over the *same* vocabulary, so all sessions
 share one execution context per operator and the queries that queue up
 while the worker is busy leave as one batch — and drives a seeded
 :mod:`~repro.logic.random_formulas` change stream (revise / update /
-arbitrate / fit, with an ``ask`` probe every few steps).  Recorded per row:
+arbitrate / fit, with an ``ask`` probe every few steps).  Each row runs
+the workload :data:`REPEATS` times, because one run lasts a fraction of
+a second and its throughput is mostly scheduling noise.  Recorded per
+row:
 
 * throughput (``qps``) and client-observed latency (``p50_ms`` /
-  ``p99_ms``);
+  ``p99_ms``), each the median over the repeats;
 * ``speedup`` — served qps normalized by a direct no-HTTP replay of the
   same seeded op stream on plain :class:`~repro.session.Session`
-  objects, measured in the same run (``direct_qps``).  The gate
-  ratio-bands this *serving-overhead ratio*, not raw throughput: slower
-  hardware drags both measurements down together, while a rot confined
-  to the serving layer (batching, queueing, protocol) drags only the
-  numerator and fails CI;
+  objects, measured in the same repeat (``direct_qps``); the row keeps
+  the median of the per-repeat ratios.  The gate ratio-bands this
+  *serving-overhead ratio*, not raw throughput: slower hardware drags
+  both measurements down together, while a rot confined to the serving
+  layer (batching, queueing, protocol) drags only the numerator and
+  fails CI;
+* ``queries`` — the request count of one run;
 * ``checksum`` — a digest of every response body in per-client order.
   The workload is seeded and each client's session is private, so the
   stream of answers is deterministic regardless of how requests
-  interleave across clients; any drift is a correctness bug in the
-  session layer, not noise.
+  interleave across clients; every repeat must give the same one, and
+  any drift is a correctness bug in the session layer, not noise.
 
 Snapshotted to ``BENCH_serve.json`` and replayed by
 ``repro trajectory --baseline BENCH_serve.json --run``.
@@ -32,12 +37,15 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import json
+import statistics
 import time
 from typing import Sequence
 
 from repro.bench.trajectory import save_snapshot
+from repro.errors import ReproError
 from repro.serve.protocol import ServeClient
 from repro.serve.server import ArbitrationServer, ServeConfig
+from repro.session.registry import ContextRegistry
 from repro.logic.random_formulas import random_formula, random_vocabulary
 
 __all__ = ["measure_serve_load", "write_serve_snapshot"]
@@ -47,6 +55,9 @@ FORMULA_DEPTH = 3
 
 #: The per-client verb rotation (an ``ask`` probe rides every cycle).
 _VERBS = ("revise", "update", "arbitrate", "fit")
+
+#: Runs per row; the row reports medians over them.
+REPEATS = 5
 
 
 async def _run_client(
@@ -97,7 +108,11 @@ async def _run_client(
 
 
 def _direct_ops_per_second(
-    atoms: int, clients: int, queries_per_client: int, seed: int
+    atoms: int,
+    clients: int,
+    queries_per_client: int,
+    seed: int,
+    registry: ContextRegistry,
 ) -> float:
     """Replay the exact per-client op streams on plain sessions, serially.
 
@@ -112,7 +127,9 @@ def _direct_ops_per_second(
     for index in range(clients):
         vocabulary = random_vocabulary(atoms)
         rng_seed = seed * 10_000 + index
-        session = Session(f"direct-{index}", atoms=list(vocabulary.atoms))
+        session = Session(
+            f"direct-{index}", atoms=list(vocabulary.atoms), registry=registry
+        )
         operations += 1  # the create
         for step in range(queries_per_client):
             formula = random_formula(vocabulary, FORMULA_DEPTH, rng_seed + step)
@@ -133,16 +150,18 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[index]
 
 
-def measure_serve_load(
-    atoms: int,
-    clients: int,
-    queries_per_client: int,
-    seed: int = 0,
-) -> dict:
-    """One load row: ``clients`` concurrent sessions over ``atoms`` atoms."""
+def _run_once(atoms: int, clients: int, queries_per_client: int, seed: int) -> dict:
+    """One served run and its direct replay.
+
+    The server and the direct replay share one fresh registry, so every
+    run starts with cold execution contexts instead of the answers an
+    earlier run left in the process-wide one; the direct replay, which
+    follows the served run, reads the answers the served run cached.
+    """
+    registry = ContextRegistry()
 
     async def _drive() -> dict:
-        server = ArbitrationServer(ServeConfig(port=0))
+        server = ArbitrationServer(ServeConfig(port=0), registry=registry)
         await server.start()
         try:
             started = time.perf_counter()
@@ -168,32 +187,64 @@ def measure_serve_load(
         combined = hashlib.sha256()
         for _, client_digest in outcomes:
             combined.update(client_digest.encode())
-        total = len(latencies)
-        qps = total / elapsed if elapsed > 0 else 0.0
+        qps = len(latencies) / elapsed if elapsed > 0 else 0.0
         direct_qps = _direct_ops_per_second(
-            atoms, clients, queries_per_client, seed
+            atoms, clients, queries_per_client, seed, registry
         )
         return {
-            "key": f"atoms={atoms} clients={clients}",
-            "atoms": atoms,
-            "clients": clients,
-            "sessions": clients,
-            "queries": total,
-            "seconds": round(elapsed, 4),
-            "qps": round(qps, 2),
-            "p50_ms": round(_quantile(latencies, 0.50) * 1e3, 3),
-            "p99_ms": round(_quantile(latencies, 0.99) * 1e3, 3),
-            "queries_per_client": queries_per_client,
-            "seed": seed,
-            "direct_qps": round(direct_qps, 2),
-            # What the trajectory gate ratio-bands: served throughput
-            # relative to a direct no-HTTP replay on this same hardware,
-            # so the gate survives slower CI runners.
-            "speedup": round(qps / direct_qps, 4) if direct_qps > 0 else 0.0,
+            "queries": len(latencies),
+            "seconds": elapsed,
+            "qps": qps,
+            "p50_ms": _quantile(latencies, 0.50) * 1e3,
+            "p99_ms": _quantile(latencies, 0.99) * 1e3,
+            "direct_qps": direct_qps,
+            "speedup": qps / direct_qps if direct_qps > 0 else 0.0,
             "checksum": combined.hexdigest(),
         }
 
     return asyncio.run(_drive())
+
+
+def measure_serve_load(
+    atoms: int,
+    clients: int,
+    queries_per_client: int,
+    seed: int = 0,
+) -> dict:
+    """One load row: ``clients`` concurrent sessions over ``atoms`` atoms,
+    the median of :data:`REPEATS` runs."""
+    runs = [
+        _run_once(atoms, clients, queries_per_client, seed) for _ in range(REPEATS)
+    ]
+    checksums = {run["checksum"] for run in runs}
+    if len(checksums) != 1:
+        raise ReproError(
+            f"serve load at atoms={atoms} clients={clients} answered "
+            f"differently across repeats: {sorted(checksums)}"
+        )
+
+    def median(field: str) -> float:
+        return statistics.median(run[field] for run in runs)
+
+    return {
+        "key": f"atoms={atoms} clients={clients}",
+        "atoms": atoms,
+        "clients": clients,
+        "sessions": clients,
+        "queries": runs[0]["queries"],
+        "seconds": round(median("seconds"), 4),
+        "qps": round(median("qps"), 2),
+        "p50_ms": round(median("p50_ms"), 3),
+        "p99_ms": round(median("p99_ms"), 3),
+        "queries_per_client": queries_per_client,
+        "seed": seed,
+        "direct_qps": round(median("direct_qps"), 2),
+        # What the trajectory gate ratio-bands: served throughput
+        # relative to a direct no-HTTP replay on this same hardware,
+        # so the gate survives slower CI runners.
+        "speedup": round(median("speedup"), 4),
+        "checksum": checksums.pop(),
+    }
 
 
 def write_serve_snapshot(

@@ -3,10 +3,11 @@
 Two workload families, mirroring the experiments they scale up:
 
 * **E4 (weighted classroom)** — ``ψ̃ ▷ μ̃`` fitting applications.  The
-  legacy path is the pre-refactor scalar reference: a dict-of-Fraction
+  legacy path is the scalar reference: a dict-of-Fraction
   :class:`~repro.core.weighted.WeightedModelFitting` over
-  ``wdist_assignment(vectorized=False)`` (one exact Fraction ``wdist``
-  per interpretation, eager order build).  The dense path is the
+  ``reference_assignment(wdist_assignment())``
+  (:mod:`repro.bench.reference`: one exact Fraction ``wdist`` per
+  interpretation, eager order build).  The dense path is the
   engine's :class:`~repro.engine.weighted.DenseWeightedOperator`: one
   shared distance matrix, one matvec per distinct ψ̃, pointwise minima.
 * **E13 (weighted merging)** — n-ary consensus: sources combined with
@@ -29,6 +30,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from repro import obs
+from repro.bench.reference import reference_assignment
 from repro.bench.trajectory import save_snapshot, time_paths
 from repro.core.weighted import (
     WeightedKnowledgeBase,
@@ -104,9 +106,7 @@ def measure_fitting_speedup(
     rows = []
     for num_atoms in atom_counts:
         vocabulary, workload = make_weighted_workload(num_atoms, pairs, seed)
-        legacy_operator = WeightedModelFitting(
-            wdist_assignment(vectorized=False, cache_size=None)
-        )
+        legacy_operator = WeightedModelFitting(reference_assignment(wdist_assignment()))
         dense_operator = DenseWeightedOperator(WeightedModelFitting(), vocabulary)
 
         def legacy() -> list[dict[str, int]]:

@@ -33,7 +33,6 @@ from typing import Callable, Optional
 
 from repro.distances.base import InterpretationDistance
 from repro.operators.base import AssignmentOperator, OperatorFamily
-from repro.orders.cache import DEFAULT_CACHE_SIZE
 from repro.orders.loyal import (
     LoyalAssignment,
     leximax_distance_assignment,
@@ -79,11 +78,9 @@ class ReveszFitting(ModelFittingOperator):
     def __init__(
         self,
         distance: Optional[InterpretationDistance] = None,
-        vectorized: bool = True,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
     ):
         super().__init__(
-            max_distance_assignment(distance, vectorized, cache_size),
+            max_distance_assignment(distance),
             name="revesz-odist",
         )
 
@@ -98,11 +95,9 @@ class PriorityFitting(ModelFittingOperator):
         self,
         distance: Optional[InterpretationDistance] = None,
         priority: Optional[Callable[[int], int]] = None,
-        vectorized: bool = True,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
     ):
         super().__init__(
-            priority_distance_assignment(distance, priority, vectorized, cache_size),
+            priority_distance_assignment(distance, priority),
             name="priority-lex",
         )
 
@@ -119,11 +114,9 @@ class SumFitting(ModelFittingOperator):
     def __init__(
         self,
         distance: Optional[InterpretationDistance] = None,
-        vectorized: bool = True,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
     ):
         super().__init__(
-            sum_distance_assignment(distance, vectorized, cache_size),
+            sum_distance_assignment(distance),
             name="sum-fitting",
         )
 
@@ -134,10 +127,8 @@ class LeximaxFitting(ModelFittingOperator):
     def __init__(
         self,
         distance: Optional[InterpretationDistance] = None,
-        vectorized: bool = True,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
     ):
         super().__init__(
-            leximax_distance_assignment(distance, vectorized, cache_size),
+            leximax_distance_assignment(distance),
             name="leximax-fitting",
         )

@@ -47,7 +47,7 @@ from repro.logic.enumeration import models
 from repro.logic.interpretation import Interpretation, Vocabulary
 from repro.logic.semantics import ModelSet
 from repro.logic.syntax import Formula
-from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment, CacheInfo
+from repro.orders.cache import Assignment, CacheInfo
 from repro.orders.preorder import TotalPreorder
 
 __all__ = [
@@ -447,17 +447,11 @@ class WdistOrderBuilder:
     """
 
     metric: InterpretationDistance
-    vectorized: bool = True
 
     kind: ClassVar[str] = "wdist"
 
     def __call__(self, knowledge_base: WeightedKnowledgeBase) -> TotalPreorder:
         vocabulary = knowledge_base.vocabulary
-        if not self.vectorized:
-            return TotalPreorder.from_key(
-                vocabulary,
-                lambda mask: knowledge_base.wdist(Interpretation(vocabulary, mask), self.metric),
-            )
         support = sorted(knowledge_base._weights.items())
         return TotalPreorder.lazy(
             vocabulary,
@@ -469,14 +463,9 @@ class WdistOrderBuilder:
             ),
         )
 
-    def __repr__(self) -> str:
-        return f"WdistOrderBuilder(metric={self.metric!r}, vectorized={self.vectorized})"
-
 
 def wdist_assignment(
     distance: Optional[InterpretationDistance] = None,
-    vectorized: bool = True,
-    cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
 ) -> WeightedLoyalAssignment:
     """The paper's weighted assignment: order by ``wdist``.
 
@@ -486,15 +475,12 @@ def wdist_assignment(
     unweighted ``sumdist`` assignment, where overlapping model sets break
     additivity.)
 
-    Keys stay exact :class:`~fractions.Fraction` values on both paths; the
-    vectorized path clears denominators into one integer dot product per
-    interpretation (see :func:`repro.distances.kernels.wdist_keys`), and
-    ``vectorized=False`` selects the scalar reference sum.
+    Keys stay exact :class:`~fractions.Fraction` values: the batch kernel
+    clears denominators into one integer dot product per interpretation
+    (see :func:`repro.distances.kernels.wdist_keys`).
     """
     metric = distance if distance is not None else HammingDistance()
-    return WeightedLoyalAssignment(
-        WdistOrderBuilder(metric, vectorized), name="wdist", cache_size=cache_size
-    )
+    return WeightedLoyalAssignment(WdistOrderBuilder(metric), name="wdist")
 
 
 class WeightedModelFitting:

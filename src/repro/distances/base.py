@@ -12,11 +12,13 @@ metric underneath every operator:
 * :class:`DrasticDistance` — 0 if equal, 1 otherwise; the coarsest metric.
 
 All distances operate on bitmasks relative to a shared vocabulary, so the
-hot path is integer arithmetic.
+hot path is integer arithmetic.  They compare by value, so two operators
+built over equal metrics are one configuration.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping, Protocol
 
 from repro.errors import WeightError
@@ -49,6 +51,7 @@ def hamming(left: int, right: int) -> int:
     return (left ^ right).bit_count()
 
 
+@dataclass(frozen=True)
 class HammingDistance:
     """Dalal's distance: ``dist(I, J) = |(I \\ J) ∪ (J \\ I)|``.
 
@@ -67,9 +70,6 @@ class HammingDistance:
         """Distance between two interpretation objects."""
         return left.hamming_distance(right)
 
-    def __repr__(self) -> str:
-        return "HammingDistance()"
-
 
 class WeightedHammingDistance:
     """Hamming distance with per-atom disagreement weights.
@@ -86,6 +86,9 @@ class WeightedHammingDistance:
                     f"atom weight must be non-negative: {name!r} -> {weight}"
                 )
         self._weights = dict(weights)
+        # The value the metric compares and hashes by; a frozenset caches
+        # its own hash, and rehashes after unpickling in another process.
+        self._key = frozenset(self._weights.items())
         self._cache: dict[Vocabulary, tuple[float, ...]] = {}
 
     def weight_vector(self, vocabulary: Vocabulary) -> tuple[float, ...]:
@@ -119,10 +122,19 @@ class WeightedHammingDistance:
         """Distance between two interpretation objects."""
         return self.between_masks(left.mask, right.mask, left.vocabulary)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WeightedHammingDistance):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
     def __repr__(self) -> str:
         return f"WeightedHammingDistance({self._weights!r})"
 
 
+@dataclass(frozen=True)
 class DrasticDistance:
     """The drastic distance: 0 for identical interpretations, 1 otherwise.
 
@@ -137,6 +149,3 @@ class DrasticDistance:
     def between(self, left: Interpretation, right: Interpretation) -> int:
         """Distance between two interpretation objects."""
         return 0 if left == right else 1
-
-    def __repr__(self) -> str:
-        return "DrasticDistance()"

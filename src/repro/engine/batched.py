@@ -80,7 +80,7 @@ def batching_contract(operator: TheoryChangeOperator, vocabulary: Vocabulary):
         and vocabulary.size <= MAX_BATCH_ATOMS
     ):
         return None
-    builder = getattr(operator.assignment, "builder", None)
+    builder = operator.builder
     kind = getattr(builder, "kind", None)
     metric = getattr(builder, "metric", None)
     if kind in KIND_AGGREGATORS and metric is not None:

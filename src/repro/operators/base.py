@@ -149,6 +149,14 @@ class AssignmentOperator(TheoryChangeOperator):
         return self._assignment
 
     @property
+    def builder(self):
+        """The product order builder behind the assignment, or ``None``
+        for a hand-built assignment.  Its ``kind``, ``metric`` and
+        ``ordered_models`` are what the batched engine, the symbolic tier
+        and the context registry read."""
+        return getattr(self._assignment, "builder", None)
+
+    @property
     def unsat_base(self) -> str:
         """The unsatisfiable-ψ policy: ``"empty"`` (axiom A2) or
         ``"accept-new"`` (R3).  The audit engine's batched evaluator

@@ -31,7 +31,6 @@ from repro.operators.base import (
     TheoryChangeOperator,
 )
 from repro.operators.update import pointwise_minimal_models
-from repro.orders.cache import DEFAULT_CACHE_SIZE
 from repro.orders.faithful import dalal_assignment
 
 __all__ = [
@@ -55,11 +54,9 @@ class DalalRevision(AssignmentOperator):
     def __init__(
         self,
         distance: Optional[InterpretationDistance] = None,
-        vectorized: bool = True,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
     ):
         super().__init__(
-            dalal_assignment(distance, vectorized, cache_size),
+            dalal_assignment(distance),
             name="dalal",
             family=OperatorFamily.REVISION,
             unsat_base="accept-new",

@@ -88,6 +88,11 @@ class ForbusUpdate(TheoryChangeOperator):
     def __init__(self, distance: Optional[InterpretationDistance] = None):
         self._distance = distance if distance is not None else HammingDistance()
 
+    @property
+    def distance(self) -> InterpretationDistance:
+        """The interpretation metric the per-model minimum ranks by."""
+        return self._distance
+
     def apply_models(self, psi: ModelSet, mu: ModelSet) -> ModelSet:
         self._check_vocabularies(psi, mu)
         vocabulary = mu.vocabulary

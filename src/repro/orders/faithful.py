@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.distances.base import HammingDistance, InterpretationDistance
 from repro.logic.semantics import ModelSet
-from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment
+from repro.orders.cache import Assignment
 from repro.orders.loyal import DistanceOrderBuilder
 
 __all__ = [
@@ -43,16 +43,11 @@ class MinDistanceBuilder(DistanceOrderBuilder):
     """Dalal's key: distance to the nearest model of ψ."""
 
     kind = "min"
-    empty_key: object = 0.0
-
-    def _scalar_key(self, row):
-        return lambda mask: min(row(mask))
+    empty_key = 0.0
 
 
 def dalal_assignment(
     distance: Optional[InterpretationDistance] = None,
-    vectorized: bool = True,
-    cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
 ) -> FaithfulAssignment:
     """Dalal's faithful assignment: rank by distance to the nearest model.
 
@@ -61,9 +56,7 @@ def dalal_assignment(
     so faithfulness conditions 1–2 hold whenever ψ is satisfiable.
     """
     metric = distance if distance is not None else HammingDistance()
-    return FaithfulAssignment(
-        MinDistanceBuilder(metric, vectorized), name="dalal", cache_size=cache_size
-    )
+    return FaithfulAssignment(MinDistanceBuilder(metric), name="dalal")
 
 
 class FaithfulnessViolation:

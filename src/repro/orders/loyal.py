@@ -38,13 +38,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Optional, Sequence
 
 from repro.distances import kernels
 from repro.distances.base import HammingDistance, InterpretationDistance
 from repro.logic.interpretation import Vocabulary, iter_set_bits
 from repro.logic.semantics import ModelSet
-from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment
+from repro.orders.cache import Assignment
 from repro.orders.preorder import TotalPreorder
 
 __all__ = [
@@ -109,22 +109,7 @@ class KernelBatchKeys:
         )
 
 
-@dataclass(frozen=True)
-class _ScalarRow:
-    """Per-mask distance row to the knowledge base's models (the scalar
-    reference path)."""
-
-    kb_masks: tuple[int, ...]
-    vocabulary: Vocabulary
-    metric: InterpretationDistance
-
-    def __call__(self, mask: int) -> list:
-        return [
-            self.metric.between_masks(mask, kb_mask, self.vocabulary)
-            for kb_mask in self.kb_masks
-        ]
-
-
+@dataclass(frozen=True, repr=False)
 class DistanceOrderBuilder:
     """A picklable ψ ↦ ≤ψ builder aggregating distances to Mod(ψ).
 
@@ -133,32 +118,27 @@ class DistanceOrderBuilder:
     a builder of kind ``k`` ranks mask ``I`` by ``agg_k`` of the distance
     row from ``I`` to the knowledge base's models, listed in
     :meth:`ordered_models` order.
+
+    Builders compare by value (class, metric, priority), so two
+    operators built the same way are one configuration.
     """
 
-    #: The aggregation kind; subclasses override.
-    kind = "max"
-    #: Key of the all-equivalent order used for the unsatisfiable ψ.
-    empty_key: object = 0
+    metric: InterpretationDistance
 
-    def __init__(self, metric: InterpretationDistance, vectorized: bool = True):
-        self.metric = metric
-        self.vectorized = vectorized
+    #: The aggregation kind; subclasses override.
+    kind: ClassVar[str] = "max"
+    #: Key of the all-equivalent order used for the unsatisfiable ψ.
+    empty_key: ClassVar[object] = 0
 
     def ordered_models(self, knowledge_base: ModelSet) -> tuple[int, ...]:
         """The distance-row columns, in the order the key reads them."""
         return knowledge_base.masks
-
-    def _scalar_key(self, row: Callable[[int], list]) -> Callable[[int], object]:
-        raise NotImplementedError
 
     def __call__(self, knowledge_base: ModelSet) -> TotalPreorder:
         vocabulary = knowledge_base.vocabulary
         if knowledge_base.is_empty:
             return TotalPreorder.lazy(vocabulary, _ConstantKeys(self.empty_key))
         columns = self.ordered_models(knowledge_base)
-        if not self.vectorized:
-            row = _ScalarRow(columns, vocabulary, self.metric)
-            return TotalPreorder.from_key(vocabulary, self._scalar_key(row))
         return TotalPreorder.lazy(
             vocabulary,
             KernelBatchKeys(columns, vocabulary, self.metric, self.kind),
@@ -173,97 +153,64 @@ class MaxDistanceBuilder(DistanceOrderBuilder):
 
     kind = "max"
 
-    def _scalar_key(self, row):
-        return lambda mask: max(row(mask))
-
 
 class SumDistanceBuilder(DistanceOrderBuilder):
     """Total-distance key (unit-weight ``wdist``)."""
 
     kind = "sum"
 
-    def _scalar_key(self, row):
-        return lambda mask: sum(row(mask))
-
 
 class LeximaxDistanceBuilder(DistanceOrderBuilder):
     """GMax key: the distance multiset sorted descending."""
 
     kind = "leximax"
-    empty_key: object = ()
-
-    def _scalar_key(self, row):
-        return lambda mask: tuple(sorted(row(mask), reverse=True))
+    empty_key = ()
 
 
+@dataclass(frozen=True, repr=False)
 class PriorityDistanceBuilder(DistanceOrderBuilder):
     """Priority-lexicographic key: the distance vector to Mod(ψ) read in a
     fixed global priority order."""
 
-    kind = "row"
-    empty_key: object = ()
+    rank: Callable[[int], int] = bitmask_priority
 
-    def __init__(
-        self,
-        metric: InterpretationDistance,
-        rank: Callable[[int], int] = bitmask_priority,
-        vectorized: bool = True,
-    ):
-        super().__init__(metric, vectorized)
-        self.rank = rank
+    kind = "row"
+    empty_key = ()
 
     def ordered_models(self, knowledge_base: ModelSet) -> tuple[int, ...]:
         return tuple(sorted(knowledge_base.masks, key=self.rank))
 
-    def _scalar_key(self, row):
-        return lambda mask: tuple(row(mask))
-
 
 def max_distance_assignment(
     distance: Optional[InterpretationDistance] = None,
-    vectorized: bool = True,
-    cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
 ) -> LoyalAssignment:
     """The paper's ``odist`` ordering: ``I ≤ψ J iff max-dist(ψ,I) ≤
     max-dist(ψ,J)``.  See the module docstring for its known loyalty
-    defect.  ``vectorized=False`` selects the scalar reference path
-    (eager, pure-Python) used by the equality tests and the E9 baseline."""
+    defect."""
     metric = distance if distance is not None else HammingDistance()
-    return LoyalAssignment(
-        MaxDistanceBuilder(metric, vectorized), name="odist(max)", cache_size=cache_size
-    )
+    return LoyalAssignment(MaxDistanceBuilder(metric), name="odist(max)")
 
 
 def sum_distance_assignment(
     distance: Optional[InterpretationDistance] = None,
-    vectorized: bool = True,
-    cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
 ) -> LoyalAssignment:
     """Total-distance ordering (unit-weight ``wdist`` read back onto
     regular knowledge bases)."""
     metric = distance if distance is not None else HammingDistance()
-    return LoyalAssignment(
-        SumDistanceBuilder(metric, vectorized), name="sumdist", cache_size=cache_size
-    )
+    return LoyalAssignment(SumDistanceBuilder(metric), name="sumdist")
 
 
 def leximax_distance_assignment(
     distance: Optional[InterpretationDistance] = None,
-    vectorized: bool = True,
-    cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
 ) -> LoyalAssignment:
     """GMax ordering: distance multiset sorted descending, lexicographic."""
     metric = distance if distance is not None else HammingDistance()
-    return LoyalAssignment(
-        LeximaxDistanceBuilder(metric, vectorized), name="leximax", cache_size=cache_size
-    )
+    return LoyalAssignment(LeximaxDistanceBuilder(metric), name="leximax")
 
 
 def priority_distance_assignment(
     distance: Optional[InterpretationDistance] = None,
     priority: Optional[Callable[[int], int]] = None,
-    vectorized: bool = True,
-    cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
 ) -> LoyalAssignment:
     """The corrected, provably loyal assignment.
 
@@ -282,11 +229,7 @@ def priority_distance_assignment(
     """
     metric = distance if distance is not None else HammingDistance()
     rank = priority if priority is not None else bitmask_priority
-    return LoyalAssignment(
-        PriorityDistanceBuilder(metric, rank, vectorized),
-        name="priority-lex",
-        cache_size=cache_size,
-    )
+    return LoyalAssignment(PriorityDistanceBuilder(metric, rank), name="priority-lex")
 
 
 @dataclass(frozen=True)

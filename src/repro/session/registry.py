@@ -30,10 +30,14 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from repro.core.arbitration import ArbitrationOperator
+from repro.core.pairwise import LiberatoreSchaerfArbitration
 from repro.engine.batched import BatchedOperator
 from repro.logic.interpretation import Vocabulary
 from repro.logic.semantics import ModelSet
-from repro.operators.base import TheoryChangeOperator
+from repro.operators.base import AssignmentOperator, TheoryChangeOperator
+from repro.operators.contraction import ContractionOperator, ErasureOperator
+from repro.operators.update import ForbusUpdate
 from repro.orders.cache import AssignmentCache, CacheInfo
 from repro.session.dispatch import AUTO, DENSE, SYMBOLIC, resolve_backend
 
@@ -51,6 +55,30 @@ __all__ = [
 DEFAULT_MAX_CONTEXTS = 16
 
 
+def _ranking(operator: TheoryChangeOperator) -> object:
+    """What an operator's answers depend on beyond its class and name.
+
+    An assignment operator's builder (it compares by kind, metric and
+    priority; a hand-built assignment by identity) with its unsat-ψ
+    policy, Forbus's metric, and for a wrapper the class and ranking of
+    the operator it wraps.  ``None`` for an operator with nothing to
+    configure.
+    """
+    if isinstance(operator, AssignmentOperator):
+        return (operator.builder or operator.assignment, operator.unsat_base)
+    if isinstance(operator, ForbusUpdate):
+        return operator.distance
+    if isinstance(operator, ArbitrationOperator):
+        inner = operator.fitting
+    elif isinstance(operator, LiberatoreSchaerfArbitration):
+        inner = operator.revision
+    elif isinstance(operator, (ContractionOperator, ErasureOperator)):
+        inner = operator.base_operator
+    else:
+        return None
+    return (type(inner).__qualname__, _ranking(inner))
+
+
 def context_key(
     operator: TheoryChangeOperator, vocabulary: Vocabulary, backend: str
 ) -> tuple:
@@ -60,8 +88,18 @@ def context_key(
     configuration and must share one context (that sharing is the whole
     point of the registry); the class is part of the key so a user
     operator that happens to reuse a built-in name cannot alias it.
+    The ranking (:func:`_ranking`) is part of it too, because operators
+    that differ only in ``distance=`` or ``priority=``, or wrap operators
+    that do, answer differently.  It hashes in constant time, and this
+    key is built on every session change.
     """
-    return (type(operator).__qualname__, operator.name, vocabulary, backend)
+    return (
+        type(operator).__qualname__,
+        operator.name,
+        _ranking(operator),
+        vocabulary,
+        backend,
+    )
 
 
 class ExecutionContext:

@@ -283,9 +283,9 @@ class Session:
 class WeightedSession:
     """A weighted (Section 4) session: graded trust instead of model sets.
 
-    The weighted operators carry their own dense/exact backend dispatch
-    internally, so this session does not route through the context
-    registry; it exists so the serving layer speaks one protocol for both
+    The session applies the exact weighted operators directly, without
+    the context registry, which holds Boolean execution contexts only; it
+    exists so the serving layer speaks one protocol for both
     knowledge-state families.
     """
 

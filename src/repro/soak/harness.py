@@ -206,6 +206,13 @@ def run_soak(
                     update=update,
                     fitting=fitting,
                 )
+                if state_digest(kb) != record["state_digest"]:
+                    raise ReproError(
+                        f"the journal at {journal.directory} is corrupt: chunk "
+                        f"record {record['ordinal']} (step {record['step']}) "
+                        "holds a knowledge base that does not match its "
+                        "state_digest; refusing to resume from it"
+                    )
                 invariants.restore(
                     InvariantLedger.from_dict(record["ledger"]),
                     record["window"],

@@ -87,7 +87,7 @@ def _assignment_kind(operator: TheoryChangeOperator) -> Optional[str]:
     """The level-walkable order kind of an assignment operator, if any."""
     if not isinstance(operator, AssignmentOperator):
         return None
-    builder = getattr(operator.assignment, "builder", None)
+    builder = operator.builder
     kind = getattr(builder, "kind", None)
     metric = getattr(builder, "metric", None)
     if kind in ("min", "max") and isinstance(metric, HammingDistance):
@@ -112,7 +112,7 @@ def supports_symbolic(operator: TheoryChangeOperator) -> bool:
     if isinstance(operator, (SatohRevision, WeberRevision)):
         return True
     if isinstance(operator, ForbusUpdate):
-        return isinstance(operator._distance, HammingDistance)
+        return isinstance(operator.distance, HammingDistance)
     return False
 
 
@@ -216,7 +216,7 @@ def apply_models_symbolic(
     elif isinstance(operator, WeberRevision):
         node = _apply_weber(manager, psi.node, mu.node)
     elif isinstance(operator, ForbusUpdate):
-        if not isinstance(operator._distance, HammingDistance):
+        if not isinstance(operator.distance, HammingDistance):
             raise ReproError(
                 f"operator {operator.name!r} has no symbolic execution "
                 "(non-Hamming metric)"

@@ -15,16 +15,17 @@ import pytest
 
 from repro.core.fitting import ReveszFitting
 from repro.core.weighted import (
+    WdistOrderBuilder,
     WeightedKnowledgeBase,
     WeightedModelFitting,
-    wdist_assignment,
 )
+from repro.distances.base import HammingDistance
 from repro.logic.interpretation import Vocabulary
 from repro.logic.semantics import ModelSet
 from repro.operators.revision import SatohRevision
-from repro.orders.cache import DEFAULT_CACHE_SIZE, AssignmentCache, CacheInfo
-from repro.orders.faithful import dalal_assignment
-from repro.orders.loyal import max_distance_assignment
+from repro.orders.cache import DEFAULT_CACHE_SIZE, Assignment, AssignmentCache, CacheInfo
+from repro.orders.faithful import MinDistanceBuilder
+from repro.orders.loyal import MaxDistanceBuilder, max_distance_assignment
 
 
 class TestAssignmentCache:
@@ -94,8 +95,8 @@ class TestBoundedAssignments:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: max_distance_assignment(cache_size=8),
-            lambda: dalal_assignment(cache_size=8),
+            lambda: Assignment(MaxDistanceBuilder(HammingDistance()), "odist(max)", 8),
+            lambda: Assignment(MinDistanceBuilder(HammingDistance()), "dalal", 8),
         ],
         ids=["loyal", "faithful"],
     )
@@ -110,7 +111,7 @@ class TestBoundedAssignments:
         assert info.evictions == 32 - 8
 
     def test_weighted_assignment_bounded(self):
-        assignment = wdist_assignment(cache_size=4)
+        assignment = Assignment(WdistOrderBuilder(HammingDistance()), "wdist", 4)
         vocabulary = Vocabulary(["a", "b", "c"])
         for mask in range(8):
             assignment.order_for(WeightedKnowledgeBase(vocabulary, {mask: 1}))

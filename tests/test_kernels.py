@@ -19,6 +19,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.bench.reference import reference_assignment, reference_operator
 from repro.core.fitting import (
     LeximaxFitting,
     PriorityFitting,
@@ -219,8 +220,8 @@ class TestOperatorEquivalence:
         psi = ModelSet(vocabulary, psi_masks)
         mu = ModelSet(vocabulary, mu_masks)
         for factory in self.FACTORIES:
-            scalar = factory(vectorized=False).apply_models(psi, mu)
-            vectorized = factory(vectorized=True).apply_models(psi, mu)
+            scalar = reference_operator(factory()).apply_models(psi, mu)
+            vectorized = factory().apply_models(psi, mu)
             assert scalar == vectorized, factory.__name__
 
     @given(mask_instances(min_masks=1), st.data())
@@ -233,10 +234,8 @@ class TestOperatorEquivalence:
         psi = ModelSet(vocabulary, psi_masks)
         mu = ModelSet(vocabulary, mu_masks)
         for factory in (ReveszFitting, DalalRevision):
-            scalar = factory(distance=metric, vectorized=False).apply_models(psi, mu)
-            vectorized = factory(distance=metric, vectorized=True).apply_models(
-                psi, mu
-            )
+            scalar = reference_operator(factory(distance=metric)).apply_models(psi, mu)
+            vectorized = factory(distance=metric).apply_models(psi, mu)
             assert scalar == vectorized, factory.__name__
 
     @given(mask_instances(min_masks=1), st.data())
@@ -248,8 +247,8 @@ class TestOperatorEquivalence:
         ]
         kb = WeightedKnowledgeBase(vocabulary, dict(zip(support, support_weights)))
         mu = ModelSet(vocabulary, mu_masks)
-        scalar_order = wdist_assignment(vectorized=False).order_for(kb)
-        vector_order = wdist_assignment(vectorized=True).order_for(kb)
+        scalar_order = reference_assignment(wdist_assignment()).order_for(kb)
+        vector_order = wdist_assignment().order_for(kb)
         assert scalar_order.minimal(mu) == vector_order.minimal(mu)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.reference import reference_assignment, reference_operator
 from repro.core.fitting import (
     LeximaxFitting,
     PriorityFitting,
@@ -77,7 +78,7 @@ class TestLaziness:
         assignment = max_distance_assignment()
         base = ModelSet(VOCAB, [0b010101, 0b101010])
         lazy_order = assignment.order_for(base)
-        eager_order = max_distance_assignment(vectorized=False).order_for(base)
+        eager_order = reference_assignment(max_distance_assignment()).order_for(base)
         assert lazy_order.levels() == eager_order.levels()
         assert lazy_order.computed_count == VOCAB.interpretation_count
         assert lazy_order == eager_order
@@ -109,18 +110,19 @@ class TestEmptyBase:
         assert order.minimal(candidates) == candidates
 
     @pytest.mark.parametrize("factory", FITTING_FACTORIES)
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_fitting_unsatisfiable_base_returns_empty(self, factory, vectorized):
-        # Axiom A2: ψ ▷ μ is unsatisfiable when ψ is.
-        operator = factory(vectorized=vectorized)
+    @pytest.mark.parametrize("product", [False, True])
+    def test_fitting_unsatisfiable_base_returns_empty(self, factory, product):
+        # Axiom A2: ψ ▷ μ is unsatisfiable when ψ is, on the product
+        # operator and on the scalar reference alike.
+        operator = factory() if product else reference_operator(factory())
         mu = ModelSet(VOCAB, [1, 2, 3])
         result = operator.apply_models(ModelSet.empty(VOCAB), mu)
         assert result.is_empty
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_dalal_unsatisfiable_base_accepts_new(self, vectorized):
+    @pytest.mark.parametrize("product", [False, True])
+    def test_dalal_unsatisfiable_base_accepts_new(self, product):
         # Revision follows R3 instead: an inconsistent base accepts μ.
-        operator = DalalRevision(vectorized=vectorized)
+        operator = DalalRevision() if product else reference_operator(DalalRevision())
         mu = ModelSet(VOCAB, [1, 2, 3])
         assert operator.apply_models(ModelSet.empty(VOCAB), mu) == mu
 

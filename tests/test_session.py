@@ -16,14 +16,20 @@ import random
 
 import pytest
 
+from repro.core.arbitration import ArbitrationOperator
+from repro.core.fitting import PriorityFitting, ReveszFitting
+from repro.core.pairwise import LiberatoreSchaerfArbitration
+from repro.distances.base import WeightedHammingDistance
 from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.logic.enumeration import models
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import parse
 from repro.logic.random_formulas import random_satisfiable_formula, random_vocabulary
+from repro.logic.semantics import ModelSet
+from repro.operators.contraction import ContractionOperator, ErasureOperator
 from repro.operators.revision import DalalRevision, SatohRevision
-from repro.operators.update import WinslettUpdate
+from repro.operators.update import ForbusUpdate, WinslettUpdate
 from repro.session import (
     AUTO,
     DENSE,
@@ -40,6 +46,9 @@ from repro.symbolic import supports_symbolic
 
 VOC3 = Vocabulary(["a", "b", "c"])
 VOC2 = Vocabulary(["a", "b"])
+
+#: A metric under which ``c`` outweighs ``a`` and ``b`` together.
+SKEWED = WeightedHammingDistance({"a": 1, "b": 1, "c": 5})
 
 #: Formula pairs exercising disjoint, overlapping, and nested cases.
 PAIRS = [
@@ -128,6 +137,74 @@ class TestContextRegistry:
         )
 
 
+class TestRankingConfiguration:
+    """The registry key holds the ranking: operators that differ only in
+    ``distance=`` or ``priority=``, or wrap operators that do, must not
+    share a context."""
+
+    @pytest.mark.parametrize(
+        "default,configured,psi_masks,mu_masks",
+        [
+            (ReveszFitting(), ReveszFitting(distance=SKEWED), [0], [3, 4]),
+            (ForbusUpdate(), ForbusUpdate(distance=SKEWED), [0], [3, 4]),
+            (PriorityFitting(), PriorityFitting(priority=lambda m: -m), [1, 6], [0, 7]),
+            (
+                ArbitrationOperator(ReveszFitting()),
+                ArbitrationOperator(ReveszFitting(distance=SKEWED)),
+                [0],
+                [7],
+            ),
+            (
+                LiberatoreSchaerfArbitration(),
+                LiberatoreSchaerfArbitration(DalalRevision(distance=SKEWED)),
+                [0],
+                [1, 4],
+            ),
+            (
+                ContractionOperator(DalalRevision()),
+                ContractionOperator(DalalRevision(distance=SKEWED)),
+                [0],
+                [0],
+            ),
+            (
+                ErasureOperator(ForbusUpdate()),
+                ErasureOperator(ForbusUpdate(distance=SKEWED)),
+                [0],
+                [0],
+            ),
+        ],
+        ids=[
+            "distance",
+            "forbus-distance",
+            "priority",
+            "arbitration",
+            "ls-arbitration",
+            "contraction",
+            "erasure",
+        ],
+    )
+    def test_ranking_configuration_is_part_of_the_key(
+        self, default, configured, psi_masks, mu_masks
+    ):
+        # The two operators share a class and a name but answer
+        # differently; one registry must answer each like the operator.
+        psi, mu = ModelSet(VOC3, psi_masks), ModelSet(VOC3, mu_masks)
+        assert default.apply_models(psi, mu) != configured.apply_models(psi, mu)
+        registry = ContextRegistry()
+        for operator in (default, configured):
+            context = registry.context_for(operator, VOC3, DENSE)
+            assert context.apply_model_sets(psi, mu) == operator.apply_models(psi, mu)
+
+    def test_equal_rankings_share_one_context(self):
+        registry = ContextRegistry()
+        reordered = WeightedHammingDistance({"c": 5, "b": 1, "a": 1})
+        first = registry.context_for(ReveszFitting(distance=SKEWED), VOC3, DENSE)
+        assert registry.context_for(ReveszFitting(distance=reordered), VOC3, DENSE) is first
+        assert registry.context_for(PriorityFitting(), VOC3, DENSE) is (
+            registry.context_for(PriorityFitting(), VOC3, DENSE)
+        )
+
+
 #: SHA-256 over every ``state()`` of :func:`pinned_session_digest`,
 #: computed before the bitset kernels replaced Winslett's pairwise loop
 #: and Quine–McCluskey below 13 atoms.
@@ -200,6 +277,48 @@ class TestAnswerIdentity:
         assert dense.apply_model_sets(psi, mu) == symbolic.apply_model_sets(
             psi, mu
         )
+
+
+#: A 5-atom session script that uses every Boolean verb.
+THRESHOLD_SCRIPT = [
+    ("revise", "a & (b | c)"),
+    ("ask", "a"),
+    ("update", "!b | d"),
+    ("fit", "c -> e"),
+    ("arbitrate", "!a & d"),
+    ("ask", "d"),
+    ("contract", "d"),
+    ("merge", ["a & e", "!c & b"]),
+    ("revise", "!e"),
+    ("ask", "b | e"),
+]
+
+
+class TestSymbolicThresholdParity:
+    """One script across the auto-dispatch threshold: at thresholds 4 and
+    5 its Dalal and odist changes run on the symbolic tier, at 6 on the
+    dense one, and every state and answer must be the same."""
+
+    @staticmethod
+    def replay(monkeypatch, threshold: int) -> list:
+        monkeypatch.setenv("REPRO_SYMBOLIC_THRESHOLD", str(threshold))
+        session = Session(
+            "parity", atoms=["a", "b", "c", "d", "e"], registry=ContextRegistry()
+        )
+        backend = resolve_backend(DalalRevision(), session.vocabulary, AUTO)
+        assert backend == (SYMBOLIC if threshold <= 5 else DENSE)
+        trace = [session.state()]
+        for verb, argument in THRESHOLD_SCRIPT:
+            answer = getattr(session, verb)(argument)
+            trace.append(answer if verb == "ask" else session.state())
+        return trace
+
+    def test_script_is_identical_at_threshold_minus_one_at_and_plus_one(
+        self, monkeypatch
+    ):
+        dense = self.replay(monkeypatch, 6)
+        assert self.replay(monkeypatch, 5) == dense
+        assert self.replay(monkeypatch, 4) == dense
 
 
 class TestSession:

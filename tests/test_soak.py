@@ -153,6 +153,23 @@ class TestRunSoak:
         with pytest.raises(ReproError):
             run_soak(other, journal_dir=journal_dir, resume=True)
 
+    def test_resume_refuses_a_record_that_does_not_match_its_digest(self, tmp_path):
+        # One mask added to the last record's knowledge base keeps the
+        # line valid JSON of the right shape; only its digest tells.
+        journal_dir = tmp_path / "j"
+        run_soak(CONFIG, journal_dir=str(journal_dir), max_chunks=2)
+        journal = journal_dir / "journal.jsonl"
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[-1])
+        masks = record["kb"]["masks"]
+        record["kb"]["masks"] = sorted(masks + [min(set(range(16)) - set(masks))])
+        lines[-1] = json.dumps(record)
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ReproError, match="state_digest") as refused:
+            run_soak(CONFIG, journal_dir=str(journal_dir), resume=True)
+        assert str(journal_dir) in str(refused.value)
+        assert "record 1" in str(refused.value)
+
     def test_resume_of_completed_run_is_a_no_op(self, tmp_path):
         journal_dir = str(tmp_path / "j")
         done = run_soak(CONFIG, journal_dir=journal_dir)
