@@ -16,17 +16,21 @@ row:
 * ``speedup`` — served qps normalized by a direct no-HTTP replay of the
   same seeded op stream on plain :class:`~repro.session.Session`
   objects, measured in the same repeat (``direct_qps``); the row keeps
-  the median of the per-repeat ratios.  The gate ratio-bands this
-  *serving-overhead ratio*, not raw throughput: slower hardware drags
-  both measurements down together, while a rot confined to the serving
-  layer (batching, queueing, protocol) drags only the numerator and
-  fails CI;
+  the median of the per-repeat ratios.  The replay does the server's
+  work minus the HTTP: its own fresh context registry, the served
+  session ids, and the same response bodies (``state()`` after every
+  create and change, the answer after every ``ask``).  The gate
+  ratio-bands this *serving-overhead ratio*, not raw throughput: slower
+  hardware drags both measurements down together, while a rot confined
+  to the serving layer (batching, queueing, protocol) drags only the
+  numerator and fails CI;
 * ``queries`` — the request count of one run;
 * ``checksum`` — a digest of every response body in per-client order.
   The workload is seeded and each client's session is private, so the
   stream of answers is deterministic regardless of how requests
   interleave across clients; every repeat must give the same one, and
-  any drift is a correctness bug in the session layer, not noise.
+  so must the direct replay's bodies.  Any drift is a correctness bug in
+  the session or serving layer, not noise.
 
 Snapshotted to ``BENCH_serve.json`` and replayed by
 ``repro trajectory --baseline BENCH_serve.json --run``.
@@ -107,40 +111,55 @@ async def _run_client(
     return latencies, digest.hexdigest()
 
 
-def _direct_ops_per_second(
-    atoms: int,
-    clients: int,
-    queries_per_client: int,
-    seed: int,
-    registry: ContextRegistry,
-) -> float:
-    """Replay the exact per-client op streams on plain sessions, serially.
+def _direct_replay(
+    atoms: int, clients: int, queries_per_client: int, seed: int
+) -> tuple[float, str]:
+    """Replay the per-client op streams on plain sessions, serially;
+    returns operations per second and the response checksum.
 
-    Same seeds, same verbs, same formulas as :func:`_run_client` — just
-    no server in front.  This is the hardware calibration that makes the
-    gated ``speedup`` ratio machine-robust.
+    Same session ids, seeds, verbs and formulas as :func:`_run_client`,
+    and the same work as the server minus the HTTP: a registry of its own
+    (so every change is computed, not read from the served run's result
+    cache), and every create and change builds its ``state()`` body and
+    every ``ask`` its answer body, digested as :func:`_run_client`
+    digests the served ones.  This is the hardware calibration that makes
+    the gated ``speedup`` ratio machine-robust.
     """
     from repro.session import Session
 
-    started = time.perf_counter()
+    registry = ContextRegistry()
+    combined = hashlib.sha256()
     operations = 0
+    started = time.perf_counter()
     for index in range(clients):
         vocabulary = random_vocabulary(atoms)
         rng_seed = seed * 10_000 + index
-        session = Session(
-            f"direct-{index}", atoms=list(vocabulary.atoms), registry=registry
-        )
-        operations += 1  # the create
+        session_id = f"load-{index}"
+        digest = hashlib.sha256()
+
+        def respond(status: int, body: dict) -> None:
+            digest.update(f"{status}:{json.dumps(body, sort_keys=True)}\n".encode())
+
+        session = Session(session_id, atoms=list(vocabulary.atoms), registry=registry)
+        respond(201, {"ok": True, "session": session.state()})
+        operations += 1
         for step in range(queries_per_client):
             formula = random_formula(vocabulary, FORMULA_DEPTH, rng_seed + step)
-            getattr(session, _VERBS[step % len(_VERBS)])(str(formula))
+            verb = _VERBS[step % len(_VERBS)]
+            getattr(session, verb)(str(formula))
+            respond(200, {"ok": True, "op": verb, "session": session.state()})
             operations += 1
             if step % len(_VERBS) == len(_VERBS) - 1:
                 probe = random_formula(vocabulary, 1, rng_seed + step + 7)
-                session.ask(str(probe))
+                answer = session.ask(str(probe))
+                respond(
+                    200,
+                    {"ok": True, "session": session_id, "op": "ask", "answer": answer},
+                )
                 operations += 1
+        combined.update(digest.hexdigest().encode())
     elapsed = time.perf_counter() - started
-    return operations / elapsed if elapsed > 0 else 0.0
+    return (operations / elapsed if elapsed > 0 else 0.0), combined.hexdigest()
 
 
 def _quantile(sorted_values: Sequence[float], q: float) -> float:
@@ -151,17 +170,13 @@ def _quantile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def _run_once(atoms: int, clients: int, queries_per_client: int, seed: int) -> dict:
-    """One served run and its direct replay.
-
-    The server and the direct replay share one fresh registry, so every
-    run starts with cold execution contexts instead of the answers an
-    earlier run left in the process-wide one; the direct replay, which
-    follows the served run, reads the answers the served run cached.
-    """
-    registry = ContextRegistry()
+    """One served run and its direct replay, each on a fresh registry of
+    its own, so both start with cold execution contexts and compute every
+    change.  Refuses a direct replay whose checksum differs from the
+    served one: the two sides must have answered alike."""
 
     async def _drive() -> dict:
-        server = ArbitrationServer(ServeConfig(port=0), registry=registry)
+        server = ArbitrationServer(ServeConfig(port=0), registry=ContextRegistry())
         await server.start()
         try:
             started = time.perf_counter()
@@ -188,9 +203,14 @@ def _run_once(atoms: int, clients: int, queries_per_client: int, seed: int) -> d
         for _, client_digest in outcomes:
             combined.update(client_digest.encode())
         qps = len(latencies) / elapsed if elapsed > 0 else 0.0
-        direct_qps = _direct_ops_per_second(
-            atoms, clients, queries_per_client, seed, registry
+        direct_qps, direct_checksum = _direct_replay(
+            atoms, clients, queries_per_client, seed
         )
+        if direct_checksum != combined.hexdigest():
+            raise ReproError(
+                f"serve load at atoms={atoms} clients={clients}: the direct "
+                "replay answered differently from the served run"
+            )
         return {
             "queries": len(latencies),
             "seconds": elapsed,

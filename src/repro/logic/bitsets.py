@@ -25,9 +25,12 @@ Two kernels are built on them:
   with one more free atom covers it.
 
 Both kernels do ``O(n)`` big-int operations per ψ-model or per cube
-shape on ``2^n``-bit integers.  Callers take this path up to
-:data:`MAX_BITSET_ATOMS` atoms and keep their sparse per-model code above
-it, where the ``2^n``-bit integers outgrow small model sets.
+shape on ``2^n``-bit integers.  Winslett's update takes this path up to
+:data:`MAX_BITSET_ATOMS` atoms and keeps its sparse per-model code above
+it, where the ``2^n``-bit integers outgrow small model sets.  The prime
+implicants, and the cover :mod:`repro.logic.implicants` chooses on cubes
+built from :func:`atom_masks`, take it up to the cap and, above it, on
+every set that is not sparse (``|models|² ≥ 2^n``).
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ __all__ = [
     "translate",
 ]
 
-#: Largest vocabulary on which callers use these kernels; it equals the
-#: dense engine's matrix cap (:data:`repro.engine.batched.MAX_BATCH_ATOMS`).
-#: At 16–20 atoms the ``2^n``-bit integers make the kernels lose to the
-#: sparse per-model loops on small model sets.
+#: Largest vocabulary on which callers use these kernels whatever the
+#: set; it equals the dense engine's matrix cap
+#: (:data:`repro.engine.batched.MAX_BATCH_ATOMS`).  At 16–20 atoms the
+#: ``2^n``-bit integers make the kernels lose to the sparse per-model
+#: loops on small model sets.
 MAX_BITSET_ATOMS = 12
 
 #: Per atom ``a``: ``(2^a, high, low)`` — see :func:`atom_masks`.

@@ -29,12 +29,13 @@ from repro.logic.semantics import MAX_TRUTH_TABLE_ATOMS, ModelSet, truth_table
 from repro.logic.syntax import (
     BOTTOM,
     TOP,
+    And,
     Atom,
     Formula,
     Iff,
     Not,
+    Or,
     conjoin,
-    disjoin,
 )
 
 __all__ = [
@@ -213,15 +214,27 @@ def form_formula(model_set: ModelSet | Iterable[Interpretation]) -> Formula:
     models (over their shared vocabulary).
 
     An empty collection yields ``⊥`` and the full interpretation space
-    yields ``⊤``.  The result is in DNF (a disjunction of complete cubes).
+    yields ``⊤``.  Otherwise the result is in DNF, one complete cube per
+    model in mask order: the tree ``disjoin(cube_formula(I) for I in
+    model_set)`` builds, node for node.  Each atom's two literals are
+    built once per call and shared by every cube, so a call costs one
+    ``And`` per model rather than one lookup and one literal per atom.
     """
-    if isinstance(model_set, ModelSet):
-        if model_set.is_empty:
+    if not isinstance(model_set, ModelSet):
+        interps = list(model_set)
+        if not interps:
             return BOTTOM
-        if model_set.is_universe:
-            return TOP
-        return disjoin(cube_formula(interp) for interp in model_set)
-    interps = list(model_set)
-    if not interps:
+        model_set = ModelSet.of_interpretations(interps)
+    if model_set.is_empty:
         return BOTTOM
-    return form_formula(ModelSet.of_interpretations(interps))
+    if model_set.is_universe:
+        return TOP
+    literals = [(Not(atom), atom) for atom in map(Atom, model_set.vocabulary.atoms)]
+    if len(literals) == 1:
+        # One atom: the lone model's cube is its lone literal.
+        return literals[0][model_set.masks[0]]
+    cubes = [
+        And(tuple([pair[mask >> index & 1] for index, pair in enumerate(literals)]))
+        for mask in model_set.masks
+    ]
+    return cubes[0] if len(cubes) == 1 else Or(tuple(cubes))

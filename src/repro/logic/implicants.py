@@ -13,15 +13,20 @@ implicant covers every interpretation ``m`` with
 ``m & fixed_mask == value_mask``.  A fixed bit set to 1 means the atom's
 truth value is constrained; unset means "don't care".
 
-Up to :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms the primes are
-found on the model set packed into one ``2^n``-bit integer, a few big-int
-operations per cube shape (:func:`repro.logic.bitsets.prime_implicants_of_bits`);
-this is the path every served ``state()`` takes.  Above that cap, where
-the packed integers outgrow small model sets, classic Quine–McCluskey
-merges cubes one bit apart.  Both return the same sorted list, so the
-cover and every printed formula are the same on either path.  Both are
-exponential in the worst case, which is fine at the paper's scale (the
-truth-table engine itself stops at 22 atoms).
+Up to :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms, and above it
+on every set that is not sparse (``|models|² ≥ 2^n``), the model set is
+packed once into a ``2^n``-bit integer.  The primes are found on it, a
+few big-int operations per cube shape
+(:func:`repro.logic.bitsets.prime_implicants_of_bits`), and the cover is
+chosen on it: each prime becomes one ``2^n``-bit cube, one pass finds the
+models covered exactly once, and each greedy step counts the bits a cube
+still covers.  This is the path every served ``state()`` takes.  A sparse
+set above the cap keeps classic Quine–McCluskey, which merges cubes one
+bit apart, and a greedy over sets of masks.  Both paths return the same
+sorted primes and the same cover in the same order, so every printed
+formula is the same on either.  Both are exponential in the worst case,
+which is fine at the paper's scale (the truth-table engine itself stops
+at 22 atoms).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from itertools import groupby
 
 from repro.logic.bitsets import (
     MAX_BITSET_ATOMS,
+    atom_masks,
     bits_of_model_set,
     prime_implicants_of_bits,
 )
@@ -67,20 +73,34 @@ def _merge(left: Implicant, right: Implicant) -> Implicant | None:
     return (fixed, left[1] & ~difference)
 
 
+def _packs(model_set: ModelSet) -> bool:
+    """Whether the packed kernels serve ``model_set``: always up to
+    :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms, and above the cap
+    unless the set is sparse, ``|models|² < 2^n``.
+
+    Quine–McCluskey's first round compares every pair of models, so its
+    cost grows with ``|models|²``; the packed kernels' grows with the
+    ``2^n`` bits of every integer they touch.
+    """
+    size = model_set.vocabulary.size
+    return size <= MAX_BITSET_ATOMS or len(model_set) ** 2 >= 1 << size
+
+
 def prime_implicants(model_set: ModelSet) -> list[Implicant]:
     """All prime implicants of the model set, deterministically ordered.
 
     A prime implicant is a maximal cube lying entirely inside the model
     set.  The empty model set has none; the full space has the single
-    empty-constraint implicant ``(0, 0)``.  Up to
-    :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms the cubes are
-    found shape by shape on the packed set; above it by Quine–McCluskey.
+    empty-constraint implicant ``(0, 0)``.  The cubes are found shape by
+    shape on the packed set, or by Quine–McCluskey on a sparse set above
+    :data:`~repro.logic.bitsets.MAX_BITSET_ATOMS` atoms.
     """
     if model_set.is_empty:
         return []
-    size = model_set.vocabulary.size
-    if size <= MAX_BITSET_ATOMS:
-        return prime_implicants_of_bits(bits_of_model_set(model_set), size)
+    if _packs(model_set):
+        return prime_implicants_of_bits(
+            bits_of_model_set(model_set), model_set.vocabulary.size
+        )
     return _quine_mccluskey(model_set)
 
 
@@ -111,15 +131,67 @@ def _quine_mccluskey(model_set: ModelSet) -> list[Implicant]:
 def minimal_cover(model_set: ModelSet) -> list[Implicant]:
     """A small prime-implicant cover of the model set.
 
-    Essential primes (sole coverers of some model) are taken first; the
-    remainder is covered greedily by descending coverage.  Greedy set
-    cover is within a log factor of optimal — exact minimality is NP-hard
-    and unnecessary for display purposes.
+    Essential primes (sole coverers of some model) are taken first, in
+    the order of the lowest model each covers alone; the remainder is
+    covered greedily by descending coverage, ties broken by the larger
+    implicant.  Greedy set cover is within a log factor of optimal —
+    exact minimality is NP-hard and unnecessary for display purposes.
+    The packed and the set-based greedy choose the same list.
     """
-    primes = prime_implicants(model_set)
-    if not primes:
+    if model_set.is_empty:
         return []
-    remaining = set(model_set.masks)
+    if _packs(model_set):
+        size = model_set.vocabulary.size
+        bits = bits_of_model_set(model_set)
+        return _packed_cover(bits, prime_implicants_of_bits(bits, size), size)
+    return _greedy_cover(_quine_mccluskey(model_set), model_set.masks)
+
+
+def _packed_cover(
+    bits: int, primes: list[Implicant], size: int
+) -> list[Implicant]:
+    """The greedy cover of the packed set ``bits``, each prime one
+    ``2^size``-bit cube."""
+    masks = atom_masks(size)
+    everything = (1 << (1 << size)) - 1
+    cubes = []
+    for fixed, value in primes:
+        cube = everything
+        for step, high, low in masks:
+            if fixed & step:
+                cube &= high if value & step else low
+        cubes.append(cube)
+    once = twice = 0
+    for cube in cubes:
+        twice |= once & cube
+        once |= cube
+    alone = once & ~twice
+    # Each essential prime keyed by the lowest model only it covers.
+    essential = sorted(
+        (own & -own, prime, cube)
+        for prime, cube in zip(primes, cubes)
+        if (own := cube & alone)
+    )
+    chosen = [prime for _, prime, _ in essential]
+    remaining = bits
+    for _, _, cube in essential:
+        remaining &= ~cube
+    while remaining:
+        gain, best, cube = max(
+            ((cube & remaining).bit_count(), prime, cube)
+            for prime, cube in zip(primes, cubes)
+        )
+        if not gain:
+            # Cannot happen for a correct prime set; guard against loops.
+            raise AssertionError("prime implicants fail to cover the model set")
+        chosen.append(best)
+        remaining &= ~cube
+    return chosen
+
+
+def _greedy_cover(primes: list[Implicant], masks) -> list[Implicant]:
+    """The greedy cover of the model masks ``masks``, on sets of masks."""
+    remaining = set(masks)
     coverage: dict[Implicant, set[int]] = {
         prime: {mask for mask in remaining if _covers(prime, mask)}
         for prime in primes

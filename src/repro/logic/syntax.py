@@ -369,10 +369,20 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
 
 
 def atoms_of(formula: Formula) -> frozenset[str]:
-    """The set of atom names occurring in ``formula``."""
-    return frozenset(
-        node.name for node in subformulas(formula) if isinstance(node, Atom)
-    )
+    """The set of atom names occurring in ``formula``.
+
+    One explicit-stack walk (no generator, no child reversal), so it also
+    serves trees too deep to recurse into.
+    """
+    names: set[str] = set()
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            names.add(node.name)
+        else:
+            stack.extend(node.children())
+    return frozenset(names)
 
 
 def formula_size(formula: Formula) -> int:

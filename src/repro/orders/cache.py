@@ -33,9 +33,10 @@ from repro.orders.preorder import TotalPreorder
 
 __all__ = ["Assignment", "AssignmentCache", "CacheInfo", "DEFAULT_CACHE_SIZE"]
 
-#: Default bound on memoized pre-orders per assignment.  Pre-orders are
-#: lazy, so an entry costs only its computed keys; 256 knowledge bases is
-#: generous for interactive sessions while keeping worst-case memory flat.
+#: The bound on memoized pre-orders per assignment (and the default bound
+#: of an :class:`AssignmentCache`).  Pre-orders are lazy, so an entry
+#: costs only its computed keys; 256 knowledge bases is generous for
+#: interactive sessions while keeping worst-case memory flat.
 DEFAULT_CACHE_SIZE = 256
 
 
@@ -178,21 +179,16 @@ class Assignment:
     properties of the builder, audited by ``check_faithful`` /
     ``check_loyal``.
 
-    Assignments pickle as their recipe (builder, name, cache bound); the
-    memo cache stays home, because a worker rebuilds what it needs and
-    lazy pre-orders can hold large key tables.  That is what lets the
-    audit engines send operators to process-pool workers.
+    The memo holds at most :data:`DEFAULT_CACHE_SIZE` pre-orders.
+    Assignments pickle as their recipe (builder and name); the memo cache
+    stays home, because a worker rebuilds what it needs and lazy
+    pre-orders can hold large key tables.  That is what lets the audit
+    engines send operators to process-pool workers.
     """
 
-    def __init__(
-        self,
-        builder: Callable[..., TotalPreorder],
-        name: str,
-        cache_size: Optional[int] = DEFAULT_CACHE_SIZE,
-    ):
+    def __init__(self, builder: Callable[..., TotalPreorder], name: str):
         self._builder = builder
-        self._cache_size = cache_size
-        self._cache = AssignmentCache(maxsize=cache_size, name=f"assignment.{name}")
+        self._cache = AssignmentCache(name=f"assignment.{name}")
         self.name = name
 
     @property
@@ -202,14 +198,10 @@ class Assignment:
         return self._builder
 
     def __getstate__(self):
-        return {
-            "builder": self._builder,
-            "cache_size": self._cache_size,
-            "name": self.name,
-        }
+        return {"builder": self._builder, "name": self.name}
 
     def __setstate__(self, state):
-        self.__init__(state["builder"], state["name"], state["cache_size"])
+        self.__init__(state["builder"], state["name"])
 
     def order_for(self, knowledge_base) -> TotalPreorder:
         """The pre-order ``≤ψ`` for a knowledge base."""

@@ -9,6 +9,7 @@ the vocabulary — the cross-vocabulary test pins that down).
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import pytest
@@ -95,28 +96,38 @@ class TestBoundedAssignments:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: Assignment(MaxDistanceBuilder(HammingDistance()), "odist(max)", 8),
-            lambda: Assignment(MinDistanceBuilder(HammingDistance()), "dalal", 8),
+            lambda: Assignment(MaxDistanceBuilder(HammingDistance()), "odist(max)"),
+            lambda: Assignment(MinDistanceBuilder(HammingDistance()), "dalal"),
         ],
         ids=["loyal", "faithful"],
     )
     def test_distinct_bases_cannot_grow_past_bound(self, make):
         assignment = make()
-        vocabulary = Vocabulary(["a", "b", "c", "d", "e"])
-        for mask in range(32):
+        vocabulary = Vocabulary([f"p{index}" for index in range(9)])
+        bases = DEFAULT_CACHE_SIZE + 32
+        for mask in range(bases):
             assignment.order_for(ModelSet(vocabulary, [mask]))
         info = assignment.cache_info()
-        assert info.currsize <= 8
-        assert info.misses == 32
-        assert info.evictions == 32 - 8
+        assert info.maxsize == DEFAULT_CACHE_SIZE
+        assert info.currsize == DEFAULT_CACHE_SIZE
+        assert info.misses == bases
+        assert info.evictions == bases - DEFAULT_CACHE_SIZE
 
     def test_weighted_assignment_bounded(self):
-        assignment = Assignment(WdistOrderBuilder(HammingDistance()), "wdist", 4)
-        vocabulary = Vocabulary(["a", "b", "c"])
-        for mask in range(8):
+        assignment = Assignment(WdistOrderBuilder(HammingDistance()), "wdist")
+        vocabulary = Vocabulary([f"p{index}" for index in range(9)])
+        bases = DEFAULT_CACHE_SIZE + 8
+        for mask in range(bases):
             assignment.order_for(WeightedKnowledgeBase(vocabulary, {mask: 1}))
         info = assignment.cache_info()
-        assert info.currsize <= 4 and info.evictions == 4
+        assert info.currsize == DEFAULT_CACHE_SIZE and info.evictions == 8
+
+    def test_pickle_keeps_the_recipe_not_the_memo(self):
+        assignment = Assignment(MaxDistanceBuilder(HammingDistance()), "odist(max)")
+        assignment.order_for(ModelSet(Vocabulary(["a", "b"]), [0]))
+        clone = pickle.loads(pickle.dumps(assignment))
+        assert clone.name == "odist(max)"
+        assert clone.cache_info() == CacheInfo(0, 0, 0, DEFAULT_CACHE_SIZE, 0)
 
     def test_repeat_base_hits_cache(self):
         assignment = max_distance_assignment()

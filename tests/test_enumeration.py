@@ -1,6 +1,7 @@
 """Unit tests for the enumeration engines and entailment helpers."""
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from repro.errors import VocabularyError
@@ -19,7 +20,7 @@ from repro.logic.enumeration import (
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import parse
 from repro.logic.semantics import ModelSet
-from repro.logic.syntax import BOTTOM, TOP, Atom
+from repro.logic.syntax import BOTTOM, TOP, Atom, disjoin, subformulas
 
 from _strategies import formulas, model_sets
 
@@ -132,3 +133,55 @@ class TestFormFormula:
         """form(I₁..Iₖ) has exactly the given models — the property the
         proof of Theorem 3.1 relies on."""
         assert models(form_formula(ms), VOCAB) == ms
+
+
+def _cube_by_cube_form(model_set: ModelSet):
+    """``form(...)`` as one ``cube_formula`` per model, then ``disjoin``."""
+    if model_set.is_universe:
+        return TOP
+    return disjoin(cube_formula(interp) for interp in model_set)
+
+
+def _assert_same_form(actual, expected) -> None:
+    assert actual == expected
+    assert [type(node) for node in subformulas(actual)] == [
+        type(node) for node in subformulas(expected)
+    ]
+    assert str(actual) == str(expected)
+
+
+@st.composite
+def _wide_model_sets(draw):
+    """Model sets over 4–12 atoms, sparse or (as a complement) dense."""
+    size = draw(st.integers(min_value=4, max_value=12))
+    vocabulary = Vocabulary([f"x{index}" for index in range(size)])
+    total = vocabulary.interpretation_count
+    masks = draw(st.sets(st.integers(min_value=0, max_value=total - 1), max_size=48))
+    if draw(st.booleans()):
+        masks = set(range(total)) - masks
+    return ModelSet(vocabulary, masks)
+
+
+class TestFormFormulaMatchesCubeByCube:
+    """``form_formula`` builds the tree ``cube_formula`` and ``disjoin``
+    build, node for node and character for character."""
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_every_model_set_up_to_three_atoms(self, size):
+        vocabulary = Vocabulary(["a", "b", "c"][:size])
+        total = vocabulary.interpretation_count
+        for members in range(1 << total):
+            model_set = ModelSet(
+                vocabulary, [mask for mask in range(total) if members >> mask & 1]
+            )
+            _assert_same_form(form_formula(model_set), _cube_by_cube_form(model_set))
+
+    @given(_wide_model_sets())
+    def test_wide_model_sets(self, model_set):
+        _assert_same_form(form_formula(model_set), _cube_by_cube_form(model_set))
+
+    @given(_wide_model_sets())
+    def test_iterable_of_interpretations(self, model_set):
+        expected = _cube_by_cube_form(model_set)
+        _assert_same_form(form_formula(list(reversed(list(model_set)))), expected)
+        _assert_same_form(form_formula(iter(model_set)), expected)

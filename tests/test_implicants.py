@@ -1,6 +1,13 @@
 """Unit tests for prime implicants and formula minimization."""
 
+import math
+
+import pytest
+import hypothesis.strategies as st
 from hypothesis import given
+
+from repro.logic import implicants
+from repro.logic.bitsets import bits_of_model_set, prime_implicants_of_bits
 
 from repro.logic.enumeration import models
 from repro.logic.implicants import (
@@ -111,3 +118,120 @@ class TestMinimalFormula:
         assert models(compact, vocabulary) == consensus
         # (A & !C) | (B & !C) — 9 nodes, versus 3 full cubes (~20 nodes).
         assert formula_size(compact) <= 9
+
+
+def _vocabulary(size: int) -> Vocabulary:
+    return Vocabulary([f"x{index}" for index in range(size)])
+
+
+def _set_based_cover(model_set: ModelSet) -> list:
+    return implicants._greedy_cover(prime_implicants(model_set), model_set.masks)
+
+
+@st.composite
+def _packed_model_sets(draw):
+    """Model sets over 1–12 atoms: sparse, dense (a complement), or a
+    union of random cubes, which overlap."""
+    size = draw(st.integers(min_value=1, max_value=12))
+    total = 1 << size
+    shape = draw(st.sampled_from(["sparse", "dense", "cubes"]))
+    if shape == "cubes":
+        masks: set[int] = set()
+        for _ in range(draw(st.integers(min_value=1, max_value=6))):
+            fixed = draw(st.integers(min_value=0, max_value=total - 1))
+            value = draw(st.integers(min_value=0, max_value=total - 1)) & fixed
+            masks.update(m for m in range(total) if m & fixed == value)
+    else:
+        masks = draw(st.sets(st.integers(min_value=0, max_value=total - 1), max_size=40))
+        if shape == "dense":
+            masks = set(range(total)) - masks
+    return ModelSet(_vocabulary(size), masks)
+
+
+class TestPackedCoverMatchesSetGreedy:
+    """The packed cover picks the set-based greedy's primes, in its order
+    (``state()`` prints them in that order)."""
+
+    @given(_packed_model_sets())
+    def test_random_sets(self, model_set):
+        assert minimal_cover(model_set) == _set_based_cover(model_set)
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_one_model(self, size):
+        model_set = ModelSet(_vocabulary(size), [0b1011_0110_1101 & ((1 << size) - 1)])
+        assert minimal_cover(model_set) == _set_based_cover(model_set)
+
+    @pytest.mark.parametrize("size", range(1, 13))
+    def test_universe_minus_one_model(self, size):
+        total = 1 << size
+        model_set = ModelSet(_vocabulary(size), [m for m in range(total) if m != total // 3])
+        assert minimal_cover(model_set) == _set_based_cover(model_set)
+
+    @pytest.mark.parametrize("size", range(3, 13))
+    def test_overlapping_cubes(self, size):
+        # x0 & x1 | x1 & x2 | ...: neighbouring cubes overlap, so most
+        # models have two coverers and few primes are essential.
+        vocabulary = _vocabulary(size)
+        formula = " | ".join(
+            f"x{index} & x{index + 1}" for index in range(size - 1)
+        )
+        model_set = models(parse(formula), vocabulary)
+        assert minimal_cover(model_set) == _set_based_cover(model_set)
+
+
+@st.composite
+def _sparse_wide_model_sets(draw):
+    """Sets over 13–14 atoms with ``|models|² < 2^n``: scattered models,
+    or a union of small random cubes."""
+    size = draw(st.integers(min_value=13, max_value=14))
+    total = 1 << size
+    if draw(st.booleans()):
+        masks = draw(st.sets(st.integers(min_value=0, max_value=total - 1), max_size=80))
+    else:
+        masks = set()
+        for _ in range(draw(st.integers(min_value=1, max_value=8))):
+            free = draw(st.lists(st.integers(0, size - 1), max_size=3, unique=True))
+            base = draw(st.integers(min_value=0, max_value=total - 1))
+            for pick in range(1 << len(free)):
+                mask = base
+                for index, atom in enumerate(free):
+                    mask = mask & ~(1 << atom) | (pick >> index & 1) << atom
+                masks.add(mask)
+    return ModelSet(_vocabulary(size), masks)
+
+
+class TestDensityRule:
+    """Above 12 atoms the packed kernels serve every set that is not
+    sparse; Quine–McCluskey keeps the sparse ones."""
+
+    @pytest.mark.parametrize("size", [13, 14])
+    def test_dense_wide_sets_never_reach_quine_mccluskey(self, size, monkeypatch):
+        def refuse(model_set):
+            raise AssertionError("Quine–McCluskey ran on a dense set")
+
+        monkeypatch.setattr(implicants, "_quine_mccluskey", refuse)
+        vocabulary = _vocabulary(size)
+        model_set = models(parse("!x0 & !x1"), vocabulary)
+        assert prime_implicants(model_set) == [(0b11, 0)]
+        assert str(minimal_formula(model_set)) == "!x0 & !x1"
+        scattered = ModelSet(vocabulary, range(0, 1 << size, 61))
+        assert len(scattered) ** 2 >= 1 << size
+        assert minimal_cover(scattered) == [((1 << size) - 1, mask) for mask in scattered.masks]
+
+    @pytest.mark.parametrize("size", [13, 14, 20])
+    def test_the_rule_is_on_models_squared_against_two_to_the_n(self, size):
+        vocabulary = _vocabulary(size)
+        edge = math.isqrt((1 << size) - 1) + 1  # least count with edge² ≥ 2^n
+        assert implicants._packs(ModelSet(vocabulary, range(edge)))
+        assert not implicants._packs(ModelSet(vocabulary, range(edge - 1)))
+
+    @given(_sparse_wide_model_sets())
+    def test_sparse_wide_sets_agree_on_both_paths(self, model_set):
+        assert not implicants._packs(model_set)
+        size = model_set.vocabulary.size
+        bits = bits_of_model_set(model_set)
+        primes = implicants._quine_mccluskey(model_set)
+        assert prime_implicants_of_bits(bits, size) == primes
+        cover = implicants._greedy_cover(primes, model_set.masks)
+        assert implicants._packed_cover(bits, primes, size) == cover
+        assert minimal_cover(model_set) == cover

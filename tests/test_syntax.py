@@ -161,6 +161,21 @@ class TestTraversal:
     def test_atoms_of_constant(self):
         assert atoms_of(TOP) == frozenset()
 
+    def test_atoms_of_a_tree_deeper_than_the_recursion_limit(self):
+        formula = Atom("a")
+        for index in range(5000):
+            formula = ~formula if index % 2 else formula | Atom(f"p{index % 7}")
+        assert atoms_of(formula) == frozenset(
+            {"a", "p0", "p2", "p4", "p6", "p1", "p3", "p5"}
+        )
+
+    @given(formulas(names=("a", "b", "c", "d", "e"), max_leaves=24))
+    def test_atoms_of_equals_the_subformula_walk(self, formula):
+        expected = frozenset(
+            node.name for node in subformulas(formula) if isinstance(node, Atom)
+        )
+        assert atoms_of(formula) == expected
+
     def test_formula_size_counts_all_nodes(self):
         assert formula_size(Atom("a")) == 1
         assert formula_size(Atom("a") & Atom("b")) == 3

@@ -303,3 +303,25 @@ class TestCommittedSnapshots:
         )
         assert code == 0
         assert "TRAJECTORY OK" in text
+
+
+class TestServeLoadDirectSide:
+    """The serve row's direct replay answers like the server, and a
+    replay that answers otherwise is refused."""
+
+    def test_direct_replay_matches_the_served_checksum(self):
+        from repro.bench import serve_load
+
+        row = serve_load._run_once(atoms=3, clients=2, queries_per_client=4, seed=0)
+        ops, checksum = serve_load._direct_replay(3, 2, 4, seed=0)
+        assert checksum == row["checksum"] and ops > 0
+        assert row["queries"] == 2 * (1 + 4 + 1)
+
+    def test_a_diverging_direct_replay_is_refused(self, monkeypatch):
+        from repro.bench import serve_load
+
+        monkeypatch.setattr(
+            serve_load, "_direct_replay", lambda *args: (1.0, "not the served digest")
+        )
+        with pytest.raises(ReproError, match="direct replay answered differently"):
+            serve_load._run_once(atoms=3, clients=1, queries_per_client=4, seed=0)
