@@ -9,6 +9,11 @@ Knowledge bases are immutable: each change returns a new object whose
 history extends the old one, so earlier states remain inspectable (and
 the log doubles as an audit trail for the jury-style scenarios in the
 paper's introduction).
+
+The state is a model set.  By Theorem 3.1 every answer is one,
+``Mod(ψ ▷ μ) = Min(Mod(μ), ≤ψ)``, so a change builds its successor from
+the operator's model set and renders no formula; ``to_formula`` writes
+one on demand.
 """
 
 from __future__ import annotations
@@ -53,9 +58,15 @@ class ChangeRecord:
 class KnowledgeBase:
     """An immutable propositional knowledge base with theory-change verbs.
 
+    The constructor takes user input: it parses the formula and the
+    integrity constraints, checks their atoms against 𝒯 and enumerates
+    their models.  A change's successor and a load come from
+    ``_with_models`` instead, which reuses the vocabulary, operators,
+    constraints and Mod(IC) it is called on.
+
     >>> kb = KnowledgeBase("A & B & (A & B -> C)", atoms=["A", "B", "C"])
-    >>> kb.revise("!C").to_formula()
-    Atom... # doctest: +SKIP
+    >>> kb.revise("!C")
+    KnowledgeBase(A & B & !C, atoms=['A', 'B', 'C'])
     >>> kb.arbitrate("!C").satisfiable
     True
     """
@@ -79,23 +90,13 @@ class KnowledgeBase:
         update: Optional[TheoryChangeOperator] = None,
         fitting: Optional[ModelFittingOperator] = None,
         constraints: Optional[FormulaLike] = None,
-        _models: Optional[ModelSet] = None,
-        _history: tuple[ChangeRecord, ...] = (),
     ):
-        if _models is None:
-            formula = as_formula(source)
-            constraint_formula = (
-                as_formula(constraints) if constraints is not None else None
-            )
-        else:
-            # An internal rebuild (a change step or a snapshot load): the
-            # source is form(_models) and the constraints were checked
-            # when they first arrived, so nothing here is outside input.
-            formula, constraint_formula = source, constraints
+        formula = as_formula(source)
+        constraint_formula = (
+            as_formula(constraints) if constraints is not None else None
+        )
         if atoms is not None:
             vocabulary = Vocabulary(atoms)
-        elif _models is not None:
-            vocabulary = _models.vocabulary
         elif constraint_formula is not None:
             vocabulary = Vocabulary.from_formulas(formula, constraint_formula)
         else:
@@ -114,15 +115,40 @@ class KnowledgeBase:
             if constraint_formula is not None
             else ModelSet.universe(vocabulary)
         )
-        base_models = (
-            _models if _models is not None else models(formula, vocabulary)
-        )
         # Integrity constraints always hold: the theory lives inside them.
-        self._models = base_models.intersection(self._constraint_models)
-        self._history = _history
+        self._models = models(formula, vocabulary).intersection(
+            self._constraint_models
+        )
+        self._history: tuple[ChangeRecord, ...] = ()
         self._revision = revision if revision is not None else DalalRevision()
         self._update = update if update is not None else WinslettUpdate()
         self._fitting = fitting if fitting is not None else ReveszFitting()
+
+    def _with_models(
+        self, model_set: ModelSet, history: tuple[ChangeRecord, ...]
+    ) -> "KnowledgeBase":
+        """This knowledge base's vocabulary, operators and integrity
+        constraints holding ``model_set`` with the provenance ``history``.
+
+        The constructor from a known model set (a change's successor, a
+        load): nothing is parsed, enumerated or rendered, and Mod(IC) is
+        reused.  A constrained contract or erase answers outside Mod(IC),
+        so the state is ``model_set ∩ Mod(IC)``.
+        """
+        kb = KnowledgeBase.__new__(KnowledgeBase)
+        kb._vocabulary = self._vocabulary
+        kb._constraints = self._constraints
+        kb._constraint_models = self._constraint_models
+        kb._models = (
+            model_set
+            if self._constraint_models.is_universe
+            else model_set.intersection(self._constraint_models)
+        )
+        kb._history = history
+        kb._revision = self._revision
+        kb._update = self._update
+        kb._fitting = self._fitting
+        return kb
 
     # -- inspection ------------------------------------------------------------
 
@@ -188,15 +214,7 @@ class KnowledgeBase:
             before=self._models,
             after=after,
         )
-        return KnowledgeBase(
-            form_formula(after),
-            revision=self._revision,
-            update=self._update,
-            fitting=self._fitting,
-            constraints=self._constraints,
-            _models=after,
-            _history=self._history + (record,),
-        )
+        return self._with_models(after, self._history + (record,))
 
     def _changed(
         self, operation: str, operator: TheoryChangeOperator, incoming: Formula

@@ -29,10 +29,10 @@ from typing import Any, Callable, Optional, Sequence
 from repro.core.weighted import WeightedKnowledgeBase
 from repro.errors import ReproError
 from repro.kb.knowledge_base import ChangeRecord, KnowledgeBase
-from repro.logic.enumeration import form_formula
 from repro.logic.interpretation import Vocabulary
 from repro.logic.parser import parse
 from repro.logic.semantics import ModelSet
+from repro.logic.syntax import BOTTOM
 
 __all__ = [
     "model_set_to_dict",
@@ -404,13 +404,27 @@ def knowledge_base_from_dict(
 
     The provenance log is restored as data (it is inspectable but the
     ``before``/``after`` records are not re-derived); operators are
-    reattached from the keyword arguments or library defaults.  A
-    payload with a missing or mistyped field is refused with a
-    :class:`ReproError` (:func:`check_knowledge_base_dict`).
+    reattached from the keyword arguments or library defaults.  The
+    state is the stored ``masks`` inside Mod(IC): a session file's fold
+    stores its last record's ``after`` there, which a constrained
+    contract or erase leaves outside.  A payload with a missing or
+    mistyped field is refused with a :class:`ReproError`
+    (:func:`check_knowledge_base_dict`), and constraints that mention an
+    atom outside ``atoms`` with a
+    :class:`~repro.errors.VocabularyError`.
     """
     check_knowledge_base_dict(data)
-    vocabulary = Vocabulary(data["atoms"])
-    model_set = ModelSet(vocabulary, data["masks"])
+    # The public constructor parses and checks the stored atoms and
+    # constraints and computes Mod(IC); the state is the stored masks.
+    empty = KnowledgeBase(
+        BOTTOM,
+        atoms=data["atoms"],
+        revision=revision,
+        update=update,
+        fitting=fitting,
+        constraints=data.get("constraints") or None,
+    )
+    vocabulary = empty.vocabulary
     history = tuple(
         ChangeRecord(
             operation=entry["operation"],
@@ -421,17 +435,7 @@ def knowledge_base_from_dict(
         )
         for entry in data.get("history", [])
     )
-    constraints_text = data.get("constraints")
-    return KnowledgeBase(
-        form_formula(model_set) if not model_set.is_empty else parse("false"),
-        atoms=list(vocabulary.atoms),
-        revision=revision,
-        update=update,
-        fitting=fitting,
-        constraints=parse(constraints_text) if constraints_text else None,
-        _models=model_set,
-        _history=history,
-    )
+    return empty._with_models(ModelSet(vocabulary, data["masks"]), history)
 
 
 def knowledge_base_from_json(

@@ -22,7 +22,8 @@ Two kernels are built on them:
   shape: with ``C_F`` the cubes of free-atom set ``F`` inside the set
   (as the bitset of their bases, free bits cleared),
   ``C_{F∪{a}} = C_F & (C_F >> 2^a)``, and a cube is prime when no cube
-  with one more free atom covers it.
+  with one more free atom covers it.  One pass over the atoms outside
+  each shape finds both its wider shapes and its primes.
 
 Both kernels do ``O(n)`` big-int operations per ψ-model or per cube
 shape on ``2^n``-bit integers.  Winslett's update takes this path up to
@@ -131,10 +132,15 @@ def pointwise_minimal(psi: int, mu: int, size: int) -> int:
 def prime_implicants_of_bits(bits: int, size: int) -> list[tuple[int, int]]:
     """All prime implicants ``(fixed_mask, value_mask)``, sorted.
 
-    Shapes (free-atom sets) are visited by size.  Each shape is derived
-    once, from the shape without its highest free atom, and kept only
-    while it has a cube inside the set; so when a level is checked for
-    primes, every shape one atom wider that has a cube is in ``wider``.
+    Shapes (free-atom sets) are visited by size, in one pass each over
+    the atoms outside the shape, in ascending order of the shape's mask.
+    Per atom, ``grown`` is the shape one atom wider (its cubes inside
+    the set), and the cubes it covers are not prime.  For an atom above
+    the shape's highest free atom it is derived and kept for the next
+    level.  For one below, the wider shape was already derived, from the
+    sibling with that atom in place of the highest one, whose mask is
+    smaller; when that sibling has no cube, neither has the wider shape.
+    So each shape is derived once.
     """
     masks = atom_masks(size)
     full = (1 << size) - 1
@@ -142,16 +148,19 @@ def prime_implicants_of_bits(bits: int, size: int) -> list[tuple[int, int]]:
     level = {0: bits} if bits else {}
     while level:
         wider: dict[int, int] = {}
-        for free, cubes in level.items():
-            for step, _, low in masks[free.bit_length():]:
-                grown = cubes & (cubes >> step) & low
-                if grown:
-                    wider[free | step] = grown
-        for free, cubes in level.items():
+        for free in sorted(level):
+            cubes = level[free]
             covered = 0
-            for step, _, _ in masks:
-                if not free & step:
+            for step, _, low in masks:
+                if step > free:
+                    grown = cubes & (cubes >> step) & low
+                    if grown:
+                        wider[free | step] = grown
+                elif not free & step:
                     grown = wider.get(free | step, 0)
+                else:
+                    continue
+                if grown:
                     covered |= grown | (grown << step)
             fixed = full ^ free
             primes.extend((fixed, base) for base in iter_set_bits(cubes & ~covered))

@@ -132,8 +132,8 @@ class Session:
 
     >>> session = Session("jury-1", atoms=["A", "B", "C"],
     ...                   formula="A & B & (A & B -> C)")
-    >>> session.revise("!C")              # doctest: +ELLIPSIS
-    <...>
+    >>> session.revise("!C")
+    KnowledgeBase(A & B & !C, atoms=['A', 'B', 'C'])
     >>> session.kb.satisfiable
     True
     """

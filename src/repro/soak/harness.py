@@ -40,8 +40,9 @@ from repro.kb.serialize import (
     knowledge_base_from_dict,
     knowledge_base_to_dict,
 )
-from repro.logic.enumeration import form_formula, models
+from repro.logic.enumeration import models
 from repro.logic.semantics import ModelSet
+from repro.logic.syntax import TOP
 from repro.operators.revision import DalalRevision
 from repro.operators.update import WinslettUpdate
 from repro.soak.invariants import InvariantLedger, OnlineInvariants
@@ -112,19 +113,6 @@ class SoakReport:
         return "\n".join(lines)
 
 
-def _kb_at(state: ModelSet, revision, update, fitting) -> KnowledgeBase:
-    """A knowledge base in ``state`` with no provenance (the stream's
-    start; each chunk boundary, where dropping it bounds history growth)."""
-    return KnowledgeBase(
-        form_formula(state),
-        atoms=list(state.vocabulary.atoms),
-        revision=revision,
-        update=update,
-        fitting=fitting,
-        _models=state,
-    )
-
-
 #: The fields of one journaled chunk boundary.
 _RECORD_FIELDS = {
     "ordinal": int,
@@ -185,7 +173,9 @@ def run_soak(
 
     generator = random.Random(config.seed)
     universe = ModelSet.universe(vocabulary)
-    kb = _kb_at(universe, revision, update, fitting)
+    kb = KnowledgeBase(
+        TOP, atoms=vocabulary.atoms, revision=revision, update=update, fitting=fitting
+    )
     invariants = OnlineInvariants(config, fitting)
     invariants.seed_window(kb.model_set)
     step_index = 0
@@ -245,7 +235,7 @@ def run_soak(
                 # satisfiable); recover deterministically so one bad state
                 # cannot poison the remaining stream.
                 invariants.ledger.unsat_resets += 1
-                kb = _kb_at(universe, revision, update, fitting)
+                kb = kb._with_models(universe, ())
             if registry is not None:
                 registry.counter("soak.steps").inc()
                 registry.counter(f"soak.steps.{step.kind}").inc()
@@ -259,7 +249,8 @@ def run_soak(
                     "counters": dict(registry.snapshot()["counters"]),
                 }
             )
-        kb = _kb_at(kb.model_set, revision, update, fitting)
+        # The history rebase: the same state, no provenance.
+        kb = kb._with_models(kb.model_set, ())
         if journal is not None:
             journal.append_chunk(
                 {

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import VocabularyError
 from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.serialize import knowledge_base_from_dict, knowledge_base_to_dict
+from repro.logic.enumeration import models
 
 
 class TestConstrainedConstruction:
@@ -85,3 +87,70 @@ class TestUnconstrainedBackwardsCompatibility:
             frozenset({"a"}),
             frozenset({"b"}),
         }
+
+
+def _trimmed_kb():
+    """A constrained state whose contraction leaves Mod(IC): the measured
+    case every trimming test pins."""
+    return KnowledgeBase("a & b", atoms=["a", "b", "c"], constraints="a -> b")
+
+
+class TestTrimmedChanges:
+    """A constrained contract or erase answers outside Mod(IC); the
+    record keeps that answer and the knowledge base holds its part
+    inside Mod(IC)."""
+
+    @pytest.mark.parametrize("verb", ["contract", "erase"])
+    def test_record_keeps_the_answer_and_the_kb_holds_it_inside_ic(self, verb):
+        kb = getattr(_trimmed_kb(), verb)("a")
+        assert kb.history[-1].after.masks == (1, 2, 3, 5, 6, 7)
+        assert kb.model_set.masks == (2, 3, 6, 7)
+        assert kb.entails("a -> b")
+
+    def test_before_is_the_previous_state_not_the_previous_answer(self):
+        kb = _trimmed_kb()
+        mod_ic = models(kb.constraints, kb.vocabulary)
+        for verb, argument in [
+            ("revise", "c"),
+            ("contract", "a"),
+            ("update", "a | !c"),
+            ("erase", "b"),
+            ("arbitrate", "!b & c"),
+            ("fit", "a"),
+            ("merge", ["!a", "c"]),
+        ]:
+            kb = getattr(kb, verb)(argument)
+        history = kb.history
+        for index in range(1, len(history)):
+            previous = history[index - 1].after.intersection(mod_ic)
+            assert history[index].before == previous, index
+        # Right after the contract its answer was trimmed.
+        assert history[1].operation == "contract"
+        assert history[2].before != history[1].after
+
+    def test_a_load_of_the_untrimmed_answer_holds_the_trimmed_state(self):
+        kb = _trimmed_kb().contract("a")
+        payload = knowledge_base_to_dict(kb)
+        assert payload["masks"] == [2, 3, 6, 7]
+        assert knowledge_base_from_dict(payload).model_set.masks == (2, 3, 6, 7)
+        # A session file's fold puts the last record's answer into masks.
+        payload["masks"] = payload["history"][-1]["after"]
+        loaded = knowledge_base_from_dict(payload)
+        assert loaded.model_set.masks == (2, 3, 6, 7)
+        assert loaded == kb and loaded.history == kb.history
+        assert loaded.contract("a").model_set == kb.contract("a").model_set
+
+
+class TestConstrainedLoad:
+    def test_constraint_atoms_outside_the_atoms_are_refused(self):
+        payload = knowledge_base_to_dict(_trimmed_kb())
+        payload["constraints"] = "a -> z"
+        with pytest.raises(VocabularyError, match="z"):
+            knowledge_base_from_dict(payload)
+
+    def test_constraints_carry_through_a_load(self):
+        kb = _trimmed_kb().revise("!b")
+        loaded = knowledge_base_from_dict(knowledge_base_to_dict(kb))
+        assert str(loaded.constraints) == str(kb.constraints)
+        assert loaded.revise("a").model_set == kb.revise("a").model_set
+        assert loaded.revise("a").entails("a & b")

@@ -5,8 +5,11 @@ import pytest
 from repro.core.fitting import PriorityFitting
 from repro.errors import VocabularyError
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.logic.enumeration import equivalent
+from repro.logic.enumeration import equivalent, form_formula, models
 from repro.logic.parser import parse
+from repro.logic.syntax import disjoin
+from repro.operators.revision import SatohRevision
+from repro.operators.update import ForbusUpdate
 
 
 class TestConstruction:
@@ -120,3 +123,107 @@ class TestValueSemantics:
 
     def test_repr_mentions_atoms(self):
         assert "atoms=" in repr(KnowledgeBase("a"))
+
+
+#: Every change verb with one argument over ``CHANGE_ATOMS``.
+CHANGE_ATOMS = ["a", "b", "c"]
+CHANGES = [
+    ("revise", "!a | c"),
+    ("update", "!b"),
+    ("fit", "!a & c"),
+    ("arbitrate", "!a & !b"),
+    ("contract", "a"),
+    ("erase", "b"),
+    ("merge", ["!a", "c"]),
+]
+#: The operator each verb records with the default operators, without
+#: and with integrity constraints.
+DEFAULT_NAMES = {
+    "revise": ("dalal", "dalal"),
+    "update": ("winslett", "winslett"),
+    "fit": ("revesz-odist", "revesz-odist"),
+    "arbitrate": ("arbitration[revesz-odist]", "constrained-revesz-odist"),
+    "contract": ("contraction[dalal]", "contraction[dalal]"),
+    "erase": ("erasure[winslett]", "erasure[winslett]"),
+    "merge": ("arbitration[revesz-odist]", "constrained-revesz-odist"),
+}
+
+
+def _incoming(argument):
+    if isinstance(argument, list):
+        return disjoin([parse(source) for source in argument])
+    return parse(argument)
+
+
+def _rebuilt(kb, **operators):
+    """``kb``'s state through the public constructor: its ``form(...)``,
+    its atoms and its constraints."""
+    return KnowledgeBase(
+        form_formula(kb.model_set),
+        atoms=list(kb.vocabulary.atoms),
+        constraints=kb.constraints,
+        **operators,
+    )
+
+
+def _assert_same_state(kb, other):
+    assert kb.model_set == other.model_set
+    assert kb.vocabulary == other.vocabulary
+    assert kb.constraints == other.constraints
+    assert kb.satisfiable == other.satisfiable
+    assert str(kb.to_formula()) == str(other.to_formula())
+    assert str(kb.to_formula(minimize=False)) == str(other.to_formula(minimize=False))
+    assert kb == other
+    assert hash(kb) == hash(other)
+
+
+@pytest.mark.parametrize("constraints", [None, "a -> b"], ids=["free", "constrained"])
+@pytest.mark.parametrize("verb,argument", CHANGES, ids=[verb for verb, _ in CHANGES])
+class TestSuccessor:
+    """A change's successor is the knowledge base its model set names."""
+
+    def test_successor_equals_the_rebuilt_state(self, verb, argument, constraints):
+        parent = KnowledgeBase("a & b", atoms=CHANGE_ATOMS, constraints=constraints)
+        successor = getattr(parent, verb)(argument)
+        _assert_same_state(successor, _rebuilt(successor))
+
+    def test_history_is_the_parents_plus_one_record(self, verb, argument, constraints):
+        parent = KnowledgeBase("a & b", atoms=CHANGE_ATOMS, constraints=constraints)
+        parent = parent.revise("a & !c")
+        successor = getattr(parent, verb)(argument)
+        assert successor.history[:-1] == parent.history
+        record = successor.history[-1]
+        assert record.operation == verb
+        assert record.operator == DEFAULT_NAMES[verb][constraints is not None]
+        assert record.incoming == _incoming(argument)
+        assert record.before == parent.model_set
+        mod_ic = models(parse(constraints or "true"), parent.vocabulary)
+        assert record.after.intersection(mod_ic) == successor.model_set
+
+    def test_second_change_uses_the_configured_operators(
+        self, verb, argument, constraints
+    ):
+        operators = dict(
+            revision=SatohRevision(), update=ForbusUpdate(), fitting=PriorityFitting()
+        )
+        parent = KnowledgeBase(
+            "a & b", atoms=CHANGE_ATOMS, constraints=constraints, **operators
+        )
+        first = parent.update("!a | !b")
+        second = getattr(first, verb)(argument)
+        direct = getattr(_rebuilt(first, **operators), verb)(argument)
+        _assert_same_state(second, direct)
+        assert second.history[-1] == direct.history[-1]
+        assert second.history[-1].operator != DEFAULT_NAMES[verb][constraints is not None]
+
+    def test_no_change_renders_the_dnf(self, verb, argument, constraints, monkeypatch):
+        parent = KnowledgeBase("a & b", atoms=CHANGE_ATOMS, constraints=constraints)
+        expected = getattr(parent, verb)(argument).model_set
+
+        def refuse(*_):
+            raise AssertionError("a change rendered form(...)")
+
+        monkeypatch.setattr("repro.kb.knowledge_base.form_formula", refuse)
+        successor = getattr(parent, verb)(argument)
+        assert successor.model_set == expected
+        assert len(getattr(successor, verb)(argument).history) == 2

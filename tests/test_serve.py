@@ -25,7 +25,12 @@ import pytest
 from repro import obs
 from repro.errors import ReproError
 from repro.kb.knowledge_base import KnowledgeBase
-from repro.kb.serialize import canonical_json, change_record_to_dict, save_json_snapshot
+from repro.kb.serialize import (
+    canonical_json,
+    change_record_to_dict,
+    knowledge_base_to_dict,
+    save_json_snapshot,
+)
 from repro.logic.parser import MAX_FORMULA_DEPTH
 from repro.logic.random_formulas import random_satisfiable_formula, random_vocabulary
 from repro.serve import (
@@ -1141,6 +1146,32 @@ class TestSessionLog:
         status, body = run(main())
         assert status == 400, body
         assert body["ok"] is False and f"line {line}" in body["error"]
+
+    def test_a_constrained_contract_loads_to_the_trimmed_state(self, tmp_path):
+        # The fold copies the last record's answer into the payload's
+        # masks; a constrained contract answers outside Mod(IC).
+        kb = KnowledgeBase("a & b", atoms=["a", "b", "c"], constraints="a -> b")
+        payload = {"id": "ic", "kb": knowledge_base_to_dict(kb)}
+        session = Session.from_payload(payload, registry=ContextRegistry())
+        store = SessionStore(str(tmp_path))
+        store.save(session)
+        session.contract("a")
+        path = Path(store.save(session))
+        lines = path.read_bytes().splitlines()
+        assert len(lines) == 2
+        assert json.loads(lines[1])["after"] == [1, 2, 3, 5, 6, 7]
+        loaded = SessionStore(str(tmp_path)).load("ic", registry=ContextRegistry())
+        assert loaded.kb.model_set.masks == (2, 3, 6, 7)
+        assert loaded.to_payload() == session.to_payload()
+
+    def test_constraint_atoms_outside_the_atoms_are_a_bad_snapshot(self, tmp_path):
+        store = SessionStore(str(tmp_path))
+        path = Path(store.save(Session("ic", atoms=["a", "b"], registry=ContextRegistry())))
+        payload = json.loads(path.read_text())
+        payload["kb"]["constraints"] = "a -> z"
+        path.write_text(json.dumps(payload) + "\n")
+        with pytest.raises(ReproError, match=re.escape(f"bad session snapshot at {path}")):
+            SessionStore(str(tmp_path)).load("ic", registry=ContextRegistry())
 
     @pytest.mark.parametrize(
         "edit",
