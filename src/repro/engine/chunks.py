@@ -47,8 +47,12 @@ __all__ = [
 DEFAULT_EXHAUSTIVE_LIMIT = 300_000
 
 #: Scenarios per chunk.  Small enough that a 5 000-scenario audit yields
-#: roughly ten chunks (load balance, early cancellation granularity),
-#: large enough that per-chunk dispatch overhead is negligible.
+#: roughly ten chunks per cell (resume and early-cancellation
+#: granularity).  A pooled Boolean sweep dispatches one task per
+#: operator and chunk ordinal, carrying that chunk of every axiom, so
+#: the pool sees about ten tasks per operator (two at 1 000 scenarios),
+#: and a task's dispatch and journal fsync are shared by its axioms.
+#: Journals record the chunk size, so changing it refuses older ones.
 DEFAULT_CHUNK_SIZE = 512
 
 

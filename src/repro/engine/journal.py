@@ -22,10 +22,12 @@ Layout under the journal directory:
     describe a different run, and so is a torn manifest.
 ``journal.jsonl``
     One JSON record per completed chunk, appended and fsynced
-    (:func:`repro.kb.serialize.append_json_lines`).  A torn final line
-    (killed mid-write) is dropped on read and cut off before the next
-    append; mid-file corruption, and a record its reader's ``check``
-    refuses, raise a :class:`~repro.errors.ReproError` naming the line.
+    (:func:`repro.kb.serialize.append_json_lines`); a pooled audit
+    appends the records of one pool task in one write and one fsync.  A
+    torn final line (killed mid-write) is dropped on read and cut off
+    before the next append; mid-file corruption, and a record its
+    reader's ``check`` refuses, raise a :class:`~repro.errors.ReproError`
+    naming the line.
 
 Only integer-seeded audits are journalable: a shared ``random.Random``
 has no stable identity across processes, so its plan cannot be refused
@@ -279,9 +281,14 @@ class ChunkJournal:
 
     def append_chunk(self, record: dict[str, Any]) -> None:
         """Durably append one completed-chunk record (one write + fsync)."""
+        self.append_chunks([record])
+
+    def append_chunks(self, records: Sequence[dict[str, Any]]) -> None:
+        """Durably append completed-chunk records, one line each, in one
+        write and one fsync."""
         from repro.kb.serialize import append_json_lines
 
-        append_json_lines(str(self.journal_path), [record])
+        append_json_lines(str(self.journal_path), records)
 
     def records(
         self, check: Optional[Callable[[Any], None]] = None

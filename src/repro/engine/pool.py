@@ -9,13 +9,25 @@ ships the operator roster to pool workers once via the pool initializer,
 and evaluates each chunk with the batched machinery
 (:mod:`repro.engine.batched` / :mod:`repro.engine.bitops`).
 
+Every cell draws a fresh stream from the seed, so all cells of one axiom
+arity share one scenario plan, and the sweep plans once per arity.  A
+Boolean pool task is one operator's chunk ordinal across every axiom: its
+members are that operator's (unit, chunk) pairs at that ordinal.  The
+worker decodes each distinct chunk of the task once and evaluates every
+member against the operator's one apply table, so the (ψ, μ) pairs that
+the axioms share are resolved once, by one worker, instead of once per
+worker that happens to draw a chunk.  The parent still counts, journals
+and merges each member on its own; a task's journal records go to disk
+in one append (one fsync) before any of them is merged.
+
 The pool machinery itself is one sweep runner shared by both representations
 of the paper's semantics: :func:`run_audit` (A1–A8 over Boolean model
 sets) and :func:`repro.engine.weighted.run_weighted_audit` (F1–F8 over
 Section 4's weighted knowledge bases) differ only in how they plan units,
-build chunk tasks, evaluate a chunk, publish arena arrays and run their
-``jobs=1`` loop; everything else — roster shipping, the arena, the
-resilience ladder, the merge and the metrics fold — is :func:`_run_sweep`.
+build and group member tasks (weighted tasks have one member each),
+evaluate a task's members, publish arena arrays and run their ``jobs=1``
+loop; everything else — roster shipping, the arena, the resilience
+ladder, the merge and the metrics fold — is :func:`_run_sweep`.
 
 Determinism is the design constraint, parallelism the payoff:
 
@@ -35,10 +47,10 @@ route that takes a shared ``random.Random``, which it draws lazily, cell
 after cell.  Operators that fail to pickle degrade to the same loop with
 a warning rather than an error.
 
-Fault tolerance is delegated to :mod:`repro.engine.resilience`: chunks
-that raise are retried with backoff, hung chunks are reaped via
-``chunk_timeout``, a broken pool is respawned with only incomplete chunks
-resubmitted, and retry-exhausted chunks are re-evaluated serially in the
+Fault tolerance is delegated to :mod:`repro.engine.resilience`: tasks
+that raise are retried with backoff, hung tasks are reaped via
+``chunk_timeout``, a broken pool is respawned with only incomplete tasks
+resubmitted, and retry-exhausted tasks are re-evaluated serially in the
 parent — so ``run_audit`` returns a complete, deterministic
 :class:`AuditOutcome` plus a :class:`~repro.engine.resilience.FailureReport`
 even under injected worker failures (:mod:`repro.engine.faults`).
@@ -54,11 +66,13 @@ Two orthogonal run-scale layers ride on the same chunk determinism:
   default) auto-enables when available; the ``REPRO_SHM`` environment
   variable (``0``/``1``) overrides either way.
 * **journaled resume** (:mod:`repro.engine.journal`, Boolean sweeps
-  only): with ``journal_dir`` every completed chunk is durably recorded;
-  a killed sweep resumed with ``resume=True`` replays the records through
-  the same min-global-index merge, skips exactly the completed chunks,
-  and produces a cell-identical matrix — including ``stop_at_first``
-  runs, where a pre-kill counterexample stays the reported (first) one.
+  only): with ``journal_dir`` every completed chunk is durably recorded,
+  one record per (unit, ordinal); a killed sweep resumed with
+  ``resume=True`` replays the records through the same min-global-index
+  merge, drops exactly the completed members from their tasks (a task
+  left with none is not submitted), and produces a cell-identical matrix
+  — including ``stop_at_first`` runs, where a pre-kill counterexample
+  stays the reported (first) one.
 """
 
 from __future__ import annotations
@@ -72,7 +86,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional, Sequence
 
 try:  # pragma: no cover - numpy is baked into the container
     import numpy as np
@@ -131,11 +145,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChunkTask:
-    """One unit of worker work: a chunk of one (operator, axiom) audit.
+    """One member of a Boolean pool task: a chunk of one (operator,
+    axiom) audit.
 
-    ``attempt`` counts retries (0 on first submission); it exists so the
-    deterministic fault hook can target specific attempts and plays no
-    part in evaluation itself.
+    A pool task carries the members of one operator at one chunk
+    ordinal, one per audited axiom; members of one arity share their
+    ``chunk`` (one plan per arity), which the worker decodes once.
     """
 
     unit: int
@@ -146,12 +161,34 @@ class ChunkTask:
     kb_universe: int
     interpretation_count: int
     chunk: ChunkSpec
+
+
+@dataclass(frozen=True)
+class _Task:
+    """One pool task: member chunks (``ChunkTask`` or
+    ``WeightedChunkTask``) that one worker evaluates together.
+
+    ``attempt`` counts retries (0 on first submission); the deterministic
+    fault hook matches it against every member's (unit, ordinal), and it
+    plays no part in evaluation itself.  A failure is recorded under the
+    first member's unit and ordinal.
+    """
+
+    members: tuple
     attempt: int = 0
+
+    @property
+    def unit(self) -> int:
+        return self.members[0].unit
+
+    @property
+    def chunk(self) -> ChunkSpec:
+        return self.members[0].chunk
 
 
 @dataclass(frozen=True)
 class ChunkOutcome:
-    """A worker's verdict on one chunk, from either engine.
+    """A worker's verdict on one member chunk, from either engine.
 
     ``first_offset`` is the in-chunk offset of the earliest failing
     scenario (``chunk.start + first_offset`` is its global index), with
@@ -160,8 +197,10 @@ class ChunkOutcome:
     Cache counters are deltas, so the parent can sum them across chunks
     and workers.
 
-    ``seconds`` is the chunk's worker-side wall time.  When observability
-    is active, ``metrics`` carries the worker registry's full snapshot
+    ``seconds`` is the member's share of its task's worker-side wall
+    time: from the end of the previous member, so the task's shared
+    decode counts once.  When observability is active, the task's last
+    outcome carries the worker registry's full snapshot in ``metrics``,
     and ``(pid, seq)`` let the parent keep only the freshest snapshot per
     worker process (worker registries are cumulative, so the last
     snapshot per worker, merged once, counts everything exactly once).
@@ -186,14 +225,17 @@ class ChunkOutcome:
 class EngineStats:
     """Aggregated counters for one engine run.
 
-    ``chunk_seconds`` sums worker-side chunk wall time (CPU-seconds of
-    useful work, comparable across job counts); ``elapsed_seconds`` is
-    the parent's end-to-end wall time for the run.  The resilience
-    counters (``retries`` … ``chunks_degraded``) mirror the attached
-    :class:`~repro.engine.resilience.FailureReport`.  ``shm_segments`` /
-    ``shm_bytes`` describe the run's shared-memory arena (0 when the
-    zero-copy path is off), and ``chunks_skipped`` counts chunks replayed
-    from a resume journal instead of evaluated.
+    ``chunks`` counts the (unit, ordinal) member chunks merged, however
+    many pool tasks carried them.  ``chunk_seconds`` sums worker-side
+    task wall time, shared decodes included (CPU-seconds of useful work,
+    comparable across job counts); ``elapsed_seconds`` is the parent's
+    end-to-end wall time for the run.  The resilience counters
+    (``retries`` … ``chunks_degraded``) mirror the attached
+    :class:`~repro.engine.resilience.FailureReport` and count pool tasks.
+    ``shm_segments`` / ``shm_bytes`` describe the run's shared-memory
+    arena (0 when the zero-copy path is off), and ``chunks_skipped``
+    counts member chunks replayed from a resume journal instead of
+    evaluated.
     """
 
     chunks: int = 0
@@ -231,13 +273,13 @@ class AuditOutcome:
 @dataclass
 class _Worker:
     """Per-process state installed by the pool initializer: the engine's
-    chunk evaluator, the state it evaluates against (rebuilt once from the
-    pickled roster, so every chunk of the run reuses it), the
+    task evaluator, the state it evaluates against (rebuilt once from the
+    pickled roster, so every task of the run reuses it), the
     fault-injection plan shipped by the parent (tests/chaos lanes only),
     and a monotone counter stamped onto outcomes so the parent can order
     this worker's registry snapshots without trusting delivery order."""
 
-    evaluate: Callable[[dict, Any], ChunkOutcome]
+    evaluate: Callable[[dict, tuple], list[ChunkOutcome]]
     state: dict
     faults: Optional[FaultPlan]
     seq: int = 0
@@ -299,23 +341,25 @@ def _init_worker(payload: bytes) -> None:
     _WORKER = _Worker(evaluate, build_state(vocabulary, roster, arena), faults)
 
 
-def _run_chunk(task) -> ChunkOutcome:
+def _run_task(task: _Task) -> list[ChunkOutcome]:
     worker = _WORKER
     assert worker is not None, "pool worker used before initialization"
     # Injected faults fire only here — the worker entry point — never in
     # the parent's serial re-evaluation, so degradation always terminates.
-    trip(worker.faults, task.unit, task.chunk.ordinal, task.attempt)
-    outcome = worker.evaluate(worker.state, task)
+    for member in task.members:
+        trip(worker.faults, member.unit, member.chunk.ordinal, task.attempt)
+    outcomes = worker.evaluate(worker.state, task.members)
     registry = obs.active()
     if registry is None:
-        return outcome
-    # Ship the worker's cumulative registry with each outcome; the parent
-    # keeps only the freshest (pid, seq) snapshot per worker and merges
-    # once at the end of the run.
+        return outcomes
+    # Ship the worker's cumulative registry once per task, on its last
+    # outcome; the parent keeps only the freshest (pid, seq) snapshot per
+    # worker and merges once at the end of the run.
     worker.seq += 1
-    return replace(
-        outcome, pid=os.getpid(), seq=worker.seq, metrics=registry.snapshot()
+    outcomes[-1] = replace(
+        outcomes[-1], pid=os.getpid(), seq=worker.seq, metrics=registry.snapshot()
     )
+    return outcomes
 
 
 def _cache_snapshot(operator) -> tuple[int, int, int, int]:
@@ -337,8 +381,8 @@ def _chunk_outcome(
     first_offset: Optional[int],
     counterexample,
 ) -> ChunkOutcome:
-    """Close one chunk's evaluation: the operator's cache-counter deltas
-    since ``before``, the wall time since ``started``, and the
+    """Close one member chunk's evaluation: the operator's cache-counter
+    deltas since ``before``, the wall time since ``started``, and the
     ``<prefix>chunks_completed`` / ``scenarios`` / ``chunk_seconds``
     metrics."""
     after = _cache_snapshot(operator)
@@ -396,65 +440,86 @@ def _build_worker_state(
     }
 
 
-def evaluate_chunk(state: dict, task: ChunkTask) -> ChunkOutcome:
-    """Evaluate one chunk against the worker state.
+def evaluate_chunks(state: dict, members: Sequence[ChunkTask]) -> list[ChunkOutcome]:
+    """Evaluate one pool task's member chunks against the worker state,
+    one outcome per member, in order.
+
+    Members that share a chunk (one plan per arity) decode it once, and
+    build its numpy columns once, when an axiom runs on the apply table;
+    members of one operator share its one table.  Each member's
+    ``seconds`` runs from the end of the previous member, so the shared
+    decode is counted once, by the member that did it.
 
     Module-level (and state-explicit) so tests can drive the exact worker
     code path in-process.
     """
     vocabulary: Vocabulary = state["vocabulary"]
-    operator: BatchedOperator = state["operators"][task.op_index]
+    tables = state["tables"]
+    decoded: dict[tuple, list[tuple[int, ...]]] = {}
+    columns: dict[tuple, Any] = {}
+    outcomes: list[ChunkOutcome] = []
     started = time.perf_counter()
-    before = _cache_snapshot(operator)
-    plan = ScenarioPlan(
-        roles=task.roles,
-        interpretation_count=task.interpretation_count,
-        kb_universe=task.kb_universe,
-        total=task.chunk.start + task.chunk.count,
-        mode=task.plan_mode,
-        exhaustive=False,
-        chunks=(task.chunk,),
-    )
-    scenarios = decode_chunk(plan, task.chunk)
-    first_offset: Optional[int] = None
-    counterexample: Optional[Counterexample] = None
-    evaluator = BIT_EVALUATORS.get(task.axiom.name)
-    if evaluator is not None and supports_table(task.kb_universe):
-        tables = state["tables"]
-        table = tables.get(task.op_index)
-        if table is None:
-            table = tables[task.op_index] = ApplyTable(operator, task.kb_universe)
-        columns = np.asarray(scenarios, dtype=np.int64).reshape(
-            len(scenarios), task.roles
-        )
-        failures = evaluator(
-            table.lookup, *(columns[:, role] for role in range(task.roles))
-        )
-        failing = np.flatnonzero(failures)
-        if failing.size:
-            first_offset = int(failing[0])
-    else:
-        for offset, scenario_bits in enumerate(scenarios):
+    for task in members:
+        operator: BatchedOperator = state["operators"][task.op_index]
+        before = _cache_snapshot(operator)
+        shared = (task.plan_mode, task.roles, task.chunk)
+        scenarios = decoded.get(shared)
+        if scenarios is None:
+            plan = ScenarioPlan(
+                roles=task.roles,
+                interpretation_count=task.interpretation_count,
+                kb_universe=task.kb_universe,
+                total=task.chunk.start + task.chunk.count,
+                mode=task.plan_mode,
+                exhaustive=False,
+                chunks=(task.chunk,),
+            )
+            scenarios = decoded[shared] = decode_chunk(plan, task.chunk)
+        first_offset: Optional[int] = None
+        counterexample: Optional[Counterexample] = None
+        evaluator = BIT_EVALUATORS.get(task.axiom.name)
+        if evaluator is not None and supports_table(task.kb_universe):
+            table = tables.get(task.op_index)
+            if table is None:
+                table = tables[task.op_index] = ApplyTable(operator, task.kb_universe)
+            # Built on the table path only: above 3 atoms a knowledge
+            # base's bits overflow int64.
+            matrix = columns.get(shared)
+            if matrix is None:
+                matrix = columns[shared] = np.asarray(
+                    scenarios, dtype=np.int64
+                ).reshape(len(scenarios), task.roles)
+            failures = evaluator(
+                table.lookup, *(matrix[:, role] for role in range(task.roles))
+            )
+            failing = np.flatnonzero(failures)
+            if failing.size:
+                first_offset = int(failing[0])
+        else:
+            for offset, scenario_bits in enumerate(scenarios):
+                scenario = tuple(
+                    model_set_of_bits(vocabulary, bits) for bits in scenario_bits
+                )
+                counterexample = task.axiom.check_instance(operator, scenario)
+                if counterexample is not None:
+                    first_offset = offset
+                    break
+        if first_offset is not None and counterexample is None:
             scenario = tuple(
-                model_set_of_bits(vocabulary, bits) for bits in scenario_bits
+                model_set_of_bits(vocabulary, bits) for bits in scenarios[first_offset]
             )
             counterexample = task.axiom.check_instance(operator, scenario)
-            if counterexample is not None:
-                first_offset = offset
-                break
-    if first_offset is not None and counterexample is None:
-        scenario = tuple(
-            model_set_of_bits(vocabulary, bits) for bits in scenarios[first_offset]
+            if counterexample is None:  # pragma: no cover - exactness violation
+                raise PostulateError(
+                    f"bit evaluator for {task.axiom.name} flagged a scenario the "
+                    f"scalar checker accepts (operator {operator.name})"
+                )
+        outcome = _chunk_outcome(
+            task, operator, "engine.", started, before, first_offset, counterexample
         )
-        counterexample = task.axiom.check_instance(operator, scenario)
-        if counterexample is None:  # pragma: no cover - exactness violation
-            raise PostulateError(
-                f"bit evaluator for {task.axiom.name} flagged a scenario the "
-                f"scalar checker accepts (operator {operator.name})"
-            )
-    return _chunk_outcome(
-        task, operator, "engine.", started, before, first_offset, counterexample
-    )
+        outcomes.append(outcome)
+        started += outcome.seconds
+    return outcomes
 
 
 # -- parent side (both engines) -------------------------------------------------
@@ -555,14 +620,34 @@ def _open_arena(
         raise
 
 
+def _pool_tasks(
+    units: Sequence[_Unit],
+    make_task: Callable[[int, _Unit, ChunkSpec], Any],
+    group: Callable[[int, _Unit, ChunkSpec], Hashable],
+    completed: set[tuple[int, int]],
+) -> list[_Task]:
+    """The sweep's pool tasks, in unit order: every member chunk not in
+    ``completed``, gathered by ``group`` key.  A key whose members are
+    all completed makes no task."""
+    groups: dict[Hashable, list] = {}
+    for unit_id, unit in enumerate(units):
+        for chunk in unit.plan.chunks:
+            if (unit_id, chunk.ordinal) not in completed:
+                groups.setdefault(group(unit_id, unit, chunk), []).append(
+                    make_task(unit_id, unit, chunk)
+                )
+    return [_Task(tuple(members)) for members in groups.values()]
+
+
 def _run_sweep(
     outcome,
     kind: str,
     roster: tuple,
     plan: Callable[[], list[_Unit]],
     make_task: Callable[[int, _Unit, ChunkSpec], Any],
+    group: Callable[[int, _Unit, ChunkSpec], Hashable],
     build_state: Callable[..., dict],
-    evaluate: Callable[[dict, Any], ChunkOutcome],
+    evaluate: Callable[[dict, tuple], list[ChunkOutcome]],
     publish: Callable[[Arena, list[_Unit]], None],
     jobs: int,
     stop_at_first: bool,
@@ -582,15 +667,18 @@ def _run_sweep(
     every metric is ``engine.<kind>…`` and the span
     ``engine.run_<kind>audit``.  Workers unpickle ``roster`` — a
     ``(vocabulary, operators)`` pair — and build their state with the
-    module-level ``build_state(vocabulary, operators, arena)``; the
-    module-level ``evaluate(state, task)`` runs each chunk there, and in
-    the parent for chunks that exhausted their retries.  ``plan()``
-    returns the units in legacy order, ``make_task(unit_id, unit,
-    chunk)`` builds one chunk's task, and ``publish(arena, units)`` puts
-    the arrays workers would otherwise rebuild in the arena.
+    module-level ``build_state(vocabulary, operators, arena)``.
+    ``plan()`` returns the units in legacy order, ``make_task(unit_id,
+    unit, chunk)`` builds one member chunk, and the members whose
+    ``group(unit_id, unit, chunk)`` keys are equal form one pool task.
+    The module-level ``evaluate(state, members)`` returns one outcome per
+    member; it runs each task in a worker, and in the parent for tasks
+    that exhausted their retries.  ``publish(arena, units)`` puts the
+    arrays workers would otherwise rebuild in the arena.
     ``journal(units)``, when given, opens the chunk journal, replays its
     records into ``units``, and returns it with the completed
-    ``(unit, ordinal)`` pairs; every chunk is then journaled before it
+    ``(unit, ordinal)`` pairs; those members are left out of their tasks,
+    and a task's records are journaled in one append before any of them
     is merged.
 
     Fills ``outcome.stats`` / ``outcome.failures`` and returns the merged
@@ -672,50 +760,56 @@ def _run_sweep(
             mp_context=context,
         )
 
-    def handle_outcome(task, chunk_outcome: ChunkOutcome) -> bool:
-        stats.chunks += 1
-        stats.scenarios += task.chunk.count
-        stats.key_hits += chunk_outcome.key_hits
-        stats.key_misses += chunk_outcome.key_misses
-        stats.result_hits += chunk_outcome.result_hits
-        stats.result_misses += chunk_outcome.result_misses
-        stats.chunk_seconds += chunk_outcome.seconds
-        if chunk_outcome.metrics is not None:
-            stored = worker_metrics.get(chunk_outcome.pid)
-            if stored is None or chunk_outcome.seq > stored[0]:
-                worker_metrics[chunk_outcome.pid] = (
-                    chunk_outcome.seq,
-                    chunk_outcome.metrics,
-                )
+    def handle_outcome(task: _Task, outcomes: list[ChunkOutcome]) -> bool:
         if chunk_journal is not None:
-            # Durably record the chunk before merging it, so the journal
-            # only ever names chunks that were fully evaluated.
-            chunk_journal.append_chunk(
-                encode_chunk_record(chunk_outcome, task.chunk.count)
+            # Durably record the task's chunks before merging any, so the
+            # journal only ever names chunks that were fully evaluated.
+            chunk_journal.append_chunks(
+                [
+                    encode_chunk_record(chunk_outcome, member.chunk.count)
+                    for member, chunk_outcome in zip(task.members, outcomes)
+                ]
             )
-        return units[chunk_outcome.unit].absorb(chunk_outcome)
+        improved = False
+        for member, chunk_outcome in zip(task.members, outcomes):
+            stats.chunks += 1
+            stats.scenarios += member.chunk.count
+            stats.key_hits += chunk_outcome.key_hits
+            stats.key_misses += chunk_outcome.key_misses
+            stats.result_hits += chunk_outcome.result_hits
+            stats.result_misses += chunk_outcome.result_misses
+            stats.chunk_seconds += chunk_outcome.seconds
+            if chunk_outcome.metrics is not None:
+                stored = worker_metrics.get(chunk_outcome.pid)
+                if stored is None or chunk_outcome.seq > stored[0]:
+                    worker_metrics[chunk_outcome.pid] = (
+                        chunk_outcome.seq,
+                        chunk_outcome.metrics,
+                    )
+            if units[chunk_outcome.unit].absorb(chunk_outcome):
+                improved = True
+        return improved
 
-    def may_skip(task) -> bool:
-        # Only chunks that start *after* the unit's best failure can be
+    def may_skip(task: _Task) -> bool:
+        # Only chunks that start *after* their unit's best failure can be
         # skipped: an earlier chunk may still hold the globally first
-        # counterexample.
-        unit = units[task.unit]
-        return (
-            stop_at_first
-            and unit.best_index is not None
-            and task.chunk.start > unit.best_index
+        # counterexample.  A task is skipped when all its members can be.
+        return stop_at_first and all(
+            units[member.unit].best_index is not None
+            and member.chunk.start > units[member.unit].best_index
+            for member in task.members
         )
 
     parent_state: dict = {}
 
-    def serial_eval(task) -> ChunkOutcome:
-        # Last-resort degradation: the parent evaluates the chunk with
+    def serial_eval(task: _Task) -> list[ChunkOutcome]:
+        # Last-resort degradation: the parent evaluates the task with
         # the exact worker code path (fault injection never fires here).
         if not parent_state:
             parent_state.update(
                 build_state(*roster, None if arena is None else arena.view())
             )
-        return evaluate(parent_state, task)
+        return evaluate(parent_state, task.members)
 
     def on_restart() -> None:
         # A respawned pool's workers re-attach the same arena names; a
@@ -732,18 +826,13 @@ def _run_sweep(
                 stacklevel=2,
             )
 
-    tasks = [
-        make_task(unit_id, unit, chunk)
-        for unit_id, unit in enumerate(units)
-        for chunk in unit.plan.chunks
-        if (unit_id, chunk.ordinal) not in completed
-    ]
+    tasks = _pool_tasks(units, make_task, group, completed)
     config = ResilienceConfig(chunk_timeout=chunk_timeout, max_retries=max_retries)
     try:
         with obs.span(f"engine.run_{kind}audit", jobs=jobs, units=len(units)):
             outcome.failures = run_resilient(
                 tasks,
-                _run_chunk,
+                _run_task,
                 make_executor,
                 handle_outcome,
                 may_skip,
@@ -794,16 +883,25 @@ def _plan_units(
     chunk_size: int,
 ) -> list[_Unit]:
     """Plan every (operator, axiom) audit in roster order, each on a fresh
-    stream from ``seed``, as the in-process loop seeds each cell."""
+    stream from ``seed``, as the in-process loop seeds each cell — so
+    every cell of one arity has the same plan, made once."""
+    plans: dict[int, ScenarioPlan] = {}
     units: list[_Unit] = []
     for op_index, operator in enumerate(operators):
         for axiom in axioms:
-            generator = random.Random(seed)
-            plan = plan_scenarios(
-                vocabulary, len(axiom.roles), max_scenarios, generator, chunk_size
-            )
-            units.append(_Unit(axiom, plan, op_index, operator.name))
+            roles = len(axiom.roles)
+            if roles not in plans:
+                plans[roles] = plan_scenarios(
+                    vocabulary, roles, max_scenarios, random.Random(seed), chunk_size
+                )
+            units.append(_Unit(axiom, plans[roles], op_index, operator.name))
     return units
+
+
+def _operator_ordinal(unit_id: int, unit: _Unit, chunk: ChunkSpec) -> tuple[int, int]:
+    """A Boolean pool task's key: one operator's chunk ordinal, across
+    every axiom."""
+    return unit.op_index, chunk.ordinal
 
 
 def _chunk_task(unit_id: int, unit: _Unit, chunk: ChunkSpec) -> ChunkTask:
@@ -932,11 +1030,11 @@ def run_audit(
     cell's stream up front, while the in-process loop draws a shared
     ``Random`` lazily and stops at each cell's first failure.
 
-    ``chunk_timeout`` (seconds, ``None`` = off) reaps hung chunks;
-    ``max_retries`` bounds worker-side attempts per chunk before the
-    parent re-evaluates it serially; ``faults`` injects deterministic
-    failures for testing (defaults to the ``REPRO_FAULTS`` environment
-    plan, if any).
+    ``chunk_timeout`` (seconds, ``None`` = off) reaps hung pool tasks —
+    a task is one operator's chunk across every axiom; ``max_retries``
+    bounds worker-side attempts per task before the parent re-evaluates
+    it serially; ``faults`` injects deterministic failures for testing
+    (defaults to the ``REPRO_FAULTS`` environment plan, if any).
 
     ``shm`` selects the zero-copy arena path (``None`` = auto when
     available; the ``REPRO_SHM`` env var, ``0``/``1``, overrides both).
@@ -1025,8 +1123,9 @@ def run_audit(
             operators, axioms, vocabulary, max_scenarios, rng, chunk_size
         ),
         make_task=_chunk_task,
+        group=_operator_ordinal,
         build_state=_build_worker_state,
-        evaluate=evaluate_chunk,
+        evaluate=evaluate_chunks,
         publish=lambda arena, units: _publish_audit_arrays(
             arena, vocabulary, operators, units
         ),

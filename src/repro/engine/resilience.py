@@ -3,7 +3,9 @@
 Before this layer, one worker crash, one hung chunk, or one transient
 chunk exception aborted a whole audit with no partial results.
 :func:`run_resilient` drives an audit's chunk tasks through a process
-pool behind a degradation ladder instead:
+pool behind a degradation ladder instead.  A task is what the engine
+submits — in a Boolean audit one operator's chunk of every axiom, in a
+weighted one a single chunk — and "chunk" below means such a task:
 
 1. **Retry with backoff.**  A chunk that raises is resubmitted with an
    exponentially growing (bounded) delay, up to ``max_retries`` extra
@@ -70,7 +72,9 @@ _POLL_SECONDS = 0.05
 
 @dataclass(frozen=True)
 class FailureRecord:
-    """One observed chunk failure (one attempt of one chunk)."""
+    """One observed failure: one attempt of one task, named by the
+    task's ``unit`` and chunk ordinal (a pooled audit names a task of
+    several member chunks by its first member)."""
 
     unit: int
     ordinal: int
@@ -134,7 +138,7 @@ class ResilienceConfig:
 class _Flight:
     """One in-flight (or waiting-to-refly) chunk attempt."""
 
-    task: object  # ChunkTask / WeightedChunkTask: has .unit, .chunk, .attempt
+    task: object  # a pool task: has .unit, .chunk, .attempt
     attempt: int
     started_at: Optional[float] = None  # set when the future is seen running
 

@@ -20,10 +20,11 @@ module gives F1–F8 audits of weighted operators the same architecture:
   audit --weighted`` are one call of it each) and the pool's second
   chunk evaluator: it plans deterministic captured-RNG chunks
   (:func:`repro.engine.chunks.plan_weighted_scenarios`) and hands them,
-  with :func:`evaluate_weighted_chunk`, to the shared sweep runner of
-  :mod:`repro.engine.pool` — the same min-global-index counterexample
-  merge, early cancellation under ``stop_at_first``, arena, resilience
-  ladder and worker-metrics fold as Boolean sweeps.
+  one chunk per pool task, with :func:`evaluate_weighted_chunk`, to the
+  shared sweep runner of :mod:`repro.engine.pool` — the same
+  min-global-index counterexample merge, early cancellation under
+  ``stop_at_first``, arena, resilience ladder and worker-metrics fold as
+  Boolean sweeps.
 
 Every flagged scenario is re-checked with the scalar Fraction checker
 before being reported — the counterexample objects are exactly the legacy
@@ -331,11 +332,8 @@ WEIGHTED_DENSE_EVALUATORS: dict[str, Callable] = {
 
 @dataclass(frozen=True)
 class WeightedChunkTask:
-    """One unit of worker work: a chunk of one weighted-axiom audit.
-
-    ``attempt`` counts retries (0 on first submission) for the
-    deterministic fault hook; it plays no part in evaluation.
-    """
+    """One unit of worker work: a chunk of one weighted-axiom audit, the
+    lone member of its pool task."""
 
     unit: int
     axiom: WeightedAxiom
@@ -345,7 +343,6 @@ class WeightedChunkTask:
     density: float
     include_unsatisfiable: bool
     chunk: ChunkSpec
-    attempt: int = 0
 
 
 @dataclass
@@ -457,6 +454,13 @@ def evaluate_weighted_chunk(state: dict, task: WeightedChunkTask) -> ChunkOutcom
     )
 
 
+def _evaluate_weighted_chunks(
+    state: dict, members: Sequence[WeightedChunkTask]
+) -> list[ChunkOutcome]:
+    """The sweep runner's evaluator: one outcome per member."""
+    return [evaluate_weighted_chunk(state, member) for member in members]
+
+
 # -- parent side --------------------------------------------------------------------
 
 
@@ -489,6 +493,11 @@ def _plan_weighted_units(
         )
         units.append(_Unit(axiom, plan))
     return units
+
+
+def _one_chunk(unit_id: int, unit: _Unit, chunk: ChunkSpec) -> tuple[int, int]:
+    """A weighted pool task's key: each chunk is a task of its own."""
+    return unit_id, chunk.ordinal
 
 
 def _weighted_chunk_task(
@@ -607,8 +616,9 @@ def run_weighted_audit(
             axioms, vocabulary, scenarios, rng, chunk_size, max_weight, density
         ),
         make_task=_weighted_chunk_task,
+        group=_one_chunk,
         build_state=_build_worker_state,
-        evaluate=evaluate_weighted_chunk,
+        evaluate=_evaluate_weighted_chunks,
         publish=lambda arena, units: _publish_weighted_matrix(
             arena, vocabulary, operator
         ),

@@ -62,7 +62,9 @@ class KnowledgeBase:
     integrity constraints, checks their atoms against 𝒯 and enumerates
     their models.  A change's successor and a load come from
     ``_with_models`` instead, which reuses the vocabulary, operators,
-    constraints and Mod(IC) it is called on.
+    constraints and Mod(IC) it is called on.  Mod(IC) is held only when
+    the constraints exclude some world: otherwise no verb but ``merge``
+    needs Mod(⊤), and ``merge`` builds it.
 
     >>> kb = KnowledgeBase("A & B & (A & B -> C)", atoms=["A", "B", "C"])
     >>> kb.revise("!C")
@@ -110,15 +112,16 @@ class KnowledgeBase:
             )
         self._vocabulary = vocabulary
         self._constraints = constraint_formula
-        self._constraint_models = (
-            models(constraint_formula, vocabulary)
-            if constraint_formula is not None
-            else ModelSet.universe(vocabulary)
-        )
-        # Integrity constraints always hold: the theory lives inside them.
-        self._models = models(formula, vocabulary).intersection(
-            self._constraint_models
-        )
+        # Mod(IC), or None when it is Mod(⊤): no constraints, or valid ones.
+        self._constraint_models: Optional[ModelSet] = None
+        self._models = models(formula, vocabulary)
+        if constraint_formula is not None:
+            constraint_models = models(constraint_formula, vocabulary)
+            if not constraint_models.is_universe:
+                # Integrity constraints always hold: the theory lives
+                # inside them.
+                self._constraint_models = constraint_models
+                self._models = self._models.intersection(constraint_models)
         self._history: tuple[ChangeRecord, ...] = ()
         self._revision = revision if revision is not None else DalalRevision()
         self._update = update if update is not None else WinslettUpdate()
@@ -141,7 +144,7 @@ class KnowledgeBase:
         kb._constraint_models = self._constraint_models
         kb._models = (
             model_set
-            if self._constraint_models.is_universe
+            if self._constraint_models is None
             else model_set.intersection(self._constraint_models)
         )
         kb._history = history
@@ -220,7 +223,7 @@ class KnowledgeBase:
         self, operation: str, operator: TheoryChangeOperator, incoming: Formula
     ) -> "KnowledgeBase":
         incoming_models = models(incoming, self._vocabulary)
-        if not self._constraint_models.is_universe and operation != "arbitrate":
+        if self._constraint_models is not None and operation != "arbitrate":
             # Integrity constraints restrict what the incoming information
             # may establish: change by μ ∧ IC (the GMR92-style reading).
             incoming_models = incoming_models.intersection(self._constraint_models)
@@ -246,7 +249,7 @@ class KnowledgeBase:
         ``(ψ ∨ φ) ▷ IC`` — the consensus is sought among the worlds the
         constraints allow (the IC-merging reading of Δ_IC).
         """
-        if self._constraint_models.is_universe:
+        if self._constraint_models is None:
             operator: TheoryChangeOperator = ArbitrationOperator(self._fitting)
             return self._changed(
                 "arbitrate", operator, as_formula(new_information)
@@ -273,14 +276,16 @@ class KnowledgeBase:
         union = self._models
         for formula in parsed:
             union = union.union(models(formula, self._vocabulary))
-        # Unconstrained, Mod(IC) is the universe and this is exactly
-        # ArbitrationOperator(fitting).merge_models([ψ, φ₁, …, φₖ]).
-        after = self._fitting.apply_models(union, self._constraint_models)
-        operator = (
-            ArbitrationOperator(self._fitting).name
-            if self._constraint_models.is_universe
-            else f"constrained-{self._fitting.name}"
-        )
+        if self._constraint_models is None:
+            # Fitting against Mod(⊤) is exactly
+            # ArbitrationOperator(fitting).merge_models([ψ, φ₁, …, φₖ]).
+            after = self._fitting.apply_models(
+                union, ModelSet.universe(self._vocabulary)
+            )
+            operator = ArbitrationOperator(self._fitting).name
+        else:
+            after = self._fitting.apply_models(union, self._constraint_models)
+            operator = f"constrained-{self._fitting.name}"
         return self._record("merge", operator, disjoin(parsed), after)
 
     def contract(self, retracted: FormulaLike) -> "KnowledgeBase":

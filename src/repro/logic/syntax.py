@@ -319,9 +319,11 @@ class Xor(Formula):
         return (self.lhs, self.rhs)
 
     def _render(self, parent_precedence: int) -> str:
+        # The parser reads ``^`` left-associatively, so a nested xor on
+        # either side keeps its parentheses: ``(a ^ b) ^ c``, ``a ^ (b ^ c)``.
         body = (
             f"{self.lhs._render(self._PRECEDENCE + 1)} ^ "
-            f"{self.rhs._render(self._PRECEDENCE)}"
+            f"{self.rhs._render(self._PRECEDENCE + 1)}"
         )
         if parent_precedence > self._PRECEDENCE:
             return f"({body})"

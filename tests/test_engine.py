@@ -7,6 +7,8 @@ contract on small vocabularies where the serial path is cheap enough to
 recompute from scratch.
 """
 
+import json
+import os
 import pickle
 import random
 from itertools import islice, product
@@ -19,11 +21,20 @@ from repro.bench.experiments import standard_operators
 from repro.core.fitting import ReveszFitting
 from repro.engine.batched import BatchedOperator, bits_of_model_set
 from repro.engine.chunks import (
+    DEFAULT_CHUNK_SIZE,
     decode_chunk,
     plan_scenarios,
     sample_scenario_bits,
 )
-from repro.engine.pool import run_audit
+from repro.engine.pool import (
+    _build_worker_state,
+    _chunk_task,
+    _operator_ordinal,
+    _plan_units,
+    _pool_tasks,
+    evaluate_chunks,
+    run_audit,
+)
 from repro.logic.interpretation import Vocabulary
 from repro.operators.revision import DalalRevision
 from repro.postulates.axioms import ALL_AXIOMS, axiom_by_name
@@ -411,3 +422,99 @@ class TestSharedRngContract:
         # state, so interleaving engine audits with other consumers of a
         # shared Random stays reproducible.
         assert engine_rng.getstate() == direct_rng.getstate()
+
+
+class TestGroupedTasks:
+    """A pool task is one operator's chunk ordinal across every axiom, so
+    the work two workers do is the work one worker does alone."""
+
+    def test_two_workers_resolve_what_one_worker_resolves(self):
+        """Counted, not timed: ``result_misses`` are the (ψ, μ) pairs the
+        workers' apply tables resolved.  When chunks of one operator
+        scatter over both workers, each resolves most of the other's."""
+        operators = standard_operators()
+        audit = dict(max_scenarios=1_000, rng=77)
+        pooled = run_audit(operators, ALL_AXIOMS, VOCAB3, jobs=2, shm=False, **audit)
+        units = _plan_units(
+            operators, ALL_AXIOMS, VOCAB3, 1_000, 77, DEFAULT_CHUNK_SIZE
+        )
+        state = _build_worker_state(VOCAB3, operators)
+        alone = sum(
+            chunk_outcome.result_misses
+            for task in _pool_tasks(units, _chunk_task, _operator_ordinal, set())
+            for chunk_outcome in evaluate_chunks(state, task.members)
+        )
+        assert alone > 0
+        assert pooled.stats.result_misses <= 1.05 * alone
+        assert pooled.stats.chunks == sum(len(unit.plan.chunks) for unit in units)
+
+    #: Two operators at two atoms, not stopping at the first failure, so
+    #: no task is pruned: 10 ordinals per operator, 4 for the arity-2 axioms.
+    JOURNALED = dict(
+        max_scenarios=600, rng=7, chunk_size=64, stop_at_first=False, jobs=2
+    )
+
+    @staticmethod
+    def _journal_fsyncs(monkeypatch) -> list:
+        """Record the (device, inode) of every file the run fsyncs."""
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            stat = os.fstat(fd)
+            synced.append((stat.st_dev, stat.st_ino))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        return synced
+
+    def test_one_journal_fsync_per_task(self, tmp_path, monkeypatch):
+        """Each task's records reach the journal in one append: one fsync
+        per (operator, ordinal), not one per (unit, ordinal)."""
+        operators = [DalalRevision(), ReveszFitting()]
+        synced = self._journal_fsyncs(monkeypatch)
+        journal_dir = tmp_path / "j"
+        outcome = run_audit(
+            operators, ALL_AXIOMS, VOCAB2, journal_dir=journal_dir, **self.JOURNALED
+        )
+        journal = os.stat(journal_dir / "journal.jsonl")
+        ordinals = max(
+            len(plan_scenarios(VOCAB2, len(axiom.roles), 600, 7, 64).chunks)
+            for axiom in ALL_AXIOMS
+        )
+        lines = (journal_dir / "journal.jsonl").read_text().splitlines()
+        assert len(lines) == outcome.stats.chunks > len(operators) * ordinals
+        assert synced.count((journal.st_dev, journal.st_ino)) == (
+            len(operators) * ordinals
+        )
+
+    def test_resume_submits_only_unjournaled_members(self, tmp_path, monkeypatch):
+        """A resumed sweep drops the journaled members from their tasks
+        and submits no task left empty: with every record kept but one
+        whole task's and one member of another, it evaluates exactly
+        those members, in two tasks."""
+        operators = [DalalRevision(), ReveszFitting()]
+        journal_dir = tmp_path / "j"
+        full = run_audit(
+            operators, ALL_AXIOMS, VOCAB2, journal_dir=journal_dir, **self.JOURNALED
+        )
+        path = journal_dir / "journal.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+
+        def task_of(line):
+            record = json.loads(line)
+            return record["unit"] // len(ALL_AXIOMS), record["ordinal"]
+
+        dropped = [line for line in lines if task_of(line) == (1, 3)]
+        dropped.append(next(line for line in lines if task_of(line) == (0, 0)))
+        path.write_text("".join(line for line in lines if line not in dropped))
+        synced = self._journal_fsyncs(monkeypatch)
+        resumed = run_audit(
+            operators, ALL_AXIOMS, VOCAB2, journal_dir=journal_dir, resume=True,
+            **self.JOURNALED,
+        )
+        assert resumed.results == full.results
+        assert resumed.stats.chunks == len(dropped)
+        assert resumed.stats.chunks_skipped == len(lines) - len(dropped)
+        journal = os.stat(path)
+        assert synced.count((journal.st_dev, journal.st_ino)) == 2

@@ -227,3 +227,48 @@ class TestSuccessor:
         successor = getattr(parent, verb)(argument)
         assert successor.model_set == expected
         assert len(getattr(successor, verb)(argument).history) == 2
+
+
+#: The verbs that need no Mod(⊤) without integrity constraints (merge
+#: fits against it, and arbitrate's operator builds its own).
+UNIVERSE_FREE = [
+    (verb, argument) for verb, argument in CHANGES if verb not in ("arbitrate", "merge")
+]
+
+
+class TestUnconstrainedHoldsNoUniverse:
+    """Without integrity constraints a knowledge base keeps no Mod(IC):
+    creating, loading and changing it never builds Mod(⊤)."""
+
+    def test_create_load_and_change_build_no_universe(self, monkeypatch):
+        from repro.kb.serialize import knowledge_base_from_dict, knowledge_base_to_dict
+        from repro.logic.semantics import ModelSet
+
+        expected = {
+            verb: getattr(KnowledgeBase("a & b", atoms=CHANGE_ATOMS), verb)(argument)
+            for verb, argument in UNIVERSE_FREE
+        }
+
+        def refuse(cls, vocabulary):
+            raise AssertionError("built Mod(⊤)")
+
+        monkeypatch.setattr(ModelSet, "universe", classmethod(refuse))
+        kb = KnowledgeBase("a & b", atoms=CHANGE_ATOMS)
+        loaded = knowledge_base_from_dict(knowledge_base_to_dict(kb))
+        assert loaded == kb
+        for verb, argument in UNIVERSE_FREE:
+            for parent in (kb, loaded):
+                successor = getattr(parent, verb)(argument)
+                assert successor.model_set == expected[verb].model_set
+                assert successor.history == expected[verb].history
+        changed = kb.revise("!a").update("c")
+        assert knowledge_base_from_dict(knowledge_base_to_dict(changed)) == changed
+
+    def test_valid_constraints_change_as_unconstrained(self):
+        free = KnowledgeBase("a & b", atoms=CHANGE_ATOMS)
+        valid = KnowledgeBase("a & b", atoms=CHANGE_ATOMS, constraints="a | !a")
+        for verb, argument in CHANGES:
+            ours = getattr(valid, verb)(argument)
+            theirs = getattr(free, verb)(argument)
+            assert ours.model_set == theirs.model_set
+            assert ours.history == theirs.history

@@ -1086,6 +1086,19 @@ class TestSessionLog:
         loaded = SessionStore(str(tmp_path)).load("log", registry=ContextRegistry())
         assert loaded.to_payload() == session.to_payload()
 
+    def test_a_right_nested_xor_in_the_history_loads_as_written(self, tmp_path):
+        """The history stores each incoming formula as printed text, so
+        ``a ^ (b ^ c)`` must print with its parentheses: read back as
+        ``(a ^ b) ^ c`` it would print another record than the writer's."""
+        store = SessionStore(str(tmp_path))
+        session = log_session(0)
+        store.save(session)
+        session.revise("a ^ (b ^ c)")
+        store.save(session)
+        loaded = SessionStore(str(tmp_path)).load("log", registry=ContextRegistry())
+        assert str(loaded.kb.history[-1].incoming) == "a ^ (b ^ c)"
+        assert loaded.to_payload() == session.to_payload()
+
     @pytest.mark.parametrize("written", [0, 2])
     def test_a_session_the_store_did_not_write_is_rewritten_whole(
         self, tmp_path, written
