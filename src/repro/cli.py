@@ -486,16 +486,15 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="wall-clock budget of one pool task (a Boolean task is one "
-        "operator's chunk across every axiom) before the pool is recycled "
-        "and the task retried (default: no timeout)",
+        help="per-chunk wall-clock budget before the pool is recycled "
+        "and the chunk retried (default: no timeout)",
     )
     audit_parser.add_argument(
         "--max-retries",
         type=int,
         default=DEFAULT_MAX_RETRIES,
-        help="worker retries per pool task before the parent re-evaluates "
-        "it serially (default: %(default)s)",
+        help="worker retries per chunk before the parent re-evaluates it "
+        "serially (default: %(default)s)",
     )
     audit_parser.add_argument(
         "--stats",

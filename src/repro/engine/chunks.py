@@ -50,8 +50,9 @@ DEFAULT_EXHAUSTIVE_LIMIT = 300_000
 #: roughly ten chunks per cell (resume and early-cancellation
 #: granularity).  A pooled Boolean sweep dispatches one task per
 #: operator and chunk ordinal, carrying that chunk of every axiom, so
-#: the pool sees about ten tasks per operator (two at 1 000 scenarios),
-#: and a task's dispatch and journal fsync are shared by its axioms.
+#: the pool sees about ten tasks per operator (two at 1 000 scenarios;
+#: a sweep with fewer tasks than workers splits them by axiom), and a
+#: task's dispatch and journal fsync are shared by its axioms.
 #: Journals record the chunk size, so changing it refuses older ones.
 DEFAULT_CHUNK_SIZE = 512
 

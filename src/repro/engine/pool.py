@@ -16,9 +16,12 @@ members are that operator's (unit, chunk) pairs at that ordinal.  The
 worker decodes each distinct chunk of the task once and evaluates every
 member against the operator's one apply table, so the (ψ, μ) pairs that
 the axioms share are resolved once, by one worker, instead of once per
-worker that happens to draw a chunk.  The parent still counts, journals
-and merges each member on its own; a task's journal records go to disk
-in one append (one fsync) before any of them is merged.
+worker that happens to draw a chunk.  When that makes fewer tasks than
+``jobs`` (a roster of one or two operators), each operator's axioms are
+dealt over enough tasks that every worker gets one.  The parent still
+counts, journals and merges each member on its own; a task's journal
+records go to disk in one append (one fsync) before any of them is
+merged.
 
 The pool machinery itself is one sweep runner shared by both representations
 of the paper's semantics: :func:`run_audit` (A1–A8 over Boolean model
@@ -149,8 +152,9 @@ class ChunkTask:
     axiom) audit.
 
     A pool task carries the members of one operator at one chunk
-    ordinal, one per audited axiom; members of one arity share their
-    ``chunk`` (one plan per arity), which the worker decodes once.
+    ordinal, one per audited axiom (or a round-robin share of them, when
+    there are fewer such keys than workers); members of one arity share
+    their ``chunk`` (one plan per arity), which the worker decodes once.
     """
 
     unit: int
@@ -170,20 +174,11 @@ class _Task:
 
     ``attempt`` counts retries (0 on first submission); the deterministic
     fault hook matches it against every member's (unit, ordinal), and it
-    plays no part in evaluation itself.  A failure is recorded under the
-    first member's unit and ordinal.
+    plays no part in evaluation itself.
     """
 
     members: tuple
     attempt: int = 0
-
-    @property
-    def unit(self) -> int:
-        return self.members[0].unit
-
-    @property
-    def chunk(self) -> ChunkSpec:
-        return self.members[0].chunk
 
 
 @dataclass(frozen=True)
@@ -625,10 +620,16 @@ def _pool_tasks(
     make_task: Callable[[int, _Unit, ChunkSpec], Any],
     group: Callable[[int, _Unit, ChunkSpec], Hashable],
     completed: set[tuple[int, int]],
+    jobs: int,
 ) -> list[_Task]:
     """The sweep's pool tasks, in unit order: every member chunk not in
     ``completed``, gathered by ``group`` key.  A key whose members are
-    all completed makes no task."""
+    all completed makes no task.
+
+    Grouping spares the workers each other's work, but not at the cost
+    of idle workers: when the keys make fewer tasks than ``jobs``, each
+    key's members are dealt round-robin over enough tasks that every
+    worker gets one."""
     groups: dict[Hashable, list] = {}
     for unit_id, unit in enumerate(units):
         for chunk in unit.plan.chunks:
@@ -636,7 +637,12 @@ def _pool_tasks(
                 groups.setdefault(group(unit_id, unit, chunk), []).append(
                     make_task(unit_id, unit, chunk)
                 )
-    return [_Task(tuple(members)) for members in groups.values()]
+    parts = -(-jobs // len(groups)) if groups else 1
+    tasks: list[_Task] = []
+    for members in groups.values():
+        share = min(parts, len(members))
+        tasks.extend(_Task(tuple(members[part::share])) for part in range(share))
+    return tasks
 
 
 def _run_sweep(
@@ -826,7 +832,7 @@ def _run_sweep(
                 stacklevel=2,
             )
 
-    tasks = _pool_tasks(units, make_task, group, completed)
+    tasks = _pool_tasks(units, make_task, group, completed, jobs)
     config = ResilienceConfig(chunk_timeout=chunk_timeout, max_retries=max_retries)
     try:
         with obs.span(f"engine.run_{kind}audit", jobs=jobs, units=len(units)):
@@ -840,6 +846,7 @@ def _run_sweep(
                 config,
                 metric_prefix=prefix,
                 on_restart=on_restart,
+                faults=faults,
             )
     finally:
         # The sole unlink point: workers (dead or alive) never own the
@@ -900,7 +907,8 @@ def _plan_units(
 
 def _operator_ordinal(unit_id: int, unit: _Unit, chunk: ChunkSpec) -> tuple[int, int]:
     """A Boolean pool task's key: one operator's chunk ordinal, across
-    every axiom."""
+    every axiom (see :func:`_pool_tasks` for the split when keys are
+    fewer than workers)."""
     return unit.op_index, chunk.ordinal
 
 
@@ -1030,9 +1038,9 @@ def run_audit(
     cell's stream up front, while the in-process loop draws a shared
     ``Random`` lazily and stops at each cell's first failure.
 
-    ``chunk_timeout`` (seconds, ``None`` = off) reaps hung pool tasks —
-    a task is one operator's chunk across every axiom; ``max_retries``
-    bounds worker-side attempts per task before the parent re-evaluates
+    ``chunk_timeout`` (seconds, ``None`` = off) reaps hung chunks — a
+    pool task of ``n`` member chunks gets ``n`` budgets; ``max_retries``
+    bounds worker-side attempts per chunk before the parent re-evaluates
     it serially; ``faults`` injects deterministic failures for testing
     (defaults to the ``REPRO_FAULTS`` environment plan, if any).
 

@@ -4,20 +4,23 @@ Before this layer, one worker crash, one hung chunk, or one transient
 chunk exception aborted a whole audit with no partial results.
 :func:`run_resilient` drives an audit's chunk tasks through a process
 pool behind a degradation ladder instead.  A task is what the engine
-submits — in a Boolean audit one operator's chunk of every axiom, in a
-weighted one a single chunk — and "chunk" below means such a task:
+submits: member chunks that one worker evaluates together — in a
+Boolean audit one operator's chunk of several axioms, in a weighted one
+a single chunk.  Its members retry, time out and degrade together.
+Below, "chunk" means such a task, and "member chunk" one of its members:
 
 1. **Retry with backoff.**  A chunk that raises is resubmitted with an
    exponentially growing (bounded) delay, up to ``max_retries`` extra
    attempts.  The attempt number travels inside the task, so the
    deterministic fault hook (:mod:`repro.engine.faults`) can target
    "attempt 0 of chunk 3" exactly.
-2. **Timeout + pool recycle.**  With ``chunk_timeout`` set, a chunk whose
-   *running* time (queue wait excluded) exceeds the budget is declared
-   hung.  A hung worker cannot be cancelled through the executor API, so
-   the whole pool is terminated and respawned; completed outcomes seen in
-   the same sweep are kept, the hung chunk is charged a retry, and every
-   other incomplete chunk is resubmitted at its current attempt.
+2. **Timeout + pool recycle.**  With ``chunk_timeout`` set, a task whose
+   *running* time (queue wait excluded) exceeds ``chunk_timeout`` per
+   member chunk is declared hung.  A hung worker cannot be cancelled
+   through the executor API, so the whole pool is terminated and
+   respawned; completed outcomes seen in the same sweep are kept, the
+   hung chunk is charged a retry, and every other incomplete chunk is
+   resubmitted at its current attempt.
 3. **``BrokenProcessPool`` recovery.**  When a worker dies, every pending
    future fails with ``BrokenProcessPool``.  The pool is respawned and
    the incomplete chunks resubmitted; only the chunks that were actually
@@ -45,6 +48,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 from repro import obs
+from repro.engine.faults import FaultPlan
 
 __all__ = [
     "DEFAULT_MAX_RETRIES",
@@ -73,8 +77,8 @@ _POLL_SECONDS = 0.05
 @dataclass(frozen=True)
 class FailureRecord:
     """One observed failure: one attempt of one task, named by the
-    task's ``unit`` and chunk ordinal (a pooled audit names a task of
-    several member chunks by its first member)."""
+    (unit, ordinal) of the member chunk whose injected fault fired — or,
+    when no injected fault explains it, of the task's first member."""
 
     unit: int
     ordinal: int
@@ -116,8 +120,9 @@ class ResilienceConfig:
     """Tunables for :func:`run_resilient`.
 
     ``chunk_timeout=None`` disables the hung-chunk reaper (the historical
-    behavior); ``max_retries`` bounds worker-side attempts per chunk
-    before parent-side degradation.
+    behavior); otherwise it is the budget per member chunk, so a task of
+    ``n`` chunks may run ``n * chunk_timeout`` seconds.  ``max_retries``
+    bounds worker-side attempts per chunk before parent-side degradation.
     """
 
     chunk_timeout: Optional[float] = None
@@ -138,9 +143,15 @@ class ResilienceConfig:
 class _Flight:
     """One in-flight (or waiting-to-refly) chunk attempt."""
 
-    task: object  # a pool task: has .unit, .chunk, .attempt
+    task: object  # a pool task: has .attempt, and .members or .unit + .chunk
     attempt: int
     started_at: Optional[float] = None  # set when the future is seen running
+
+    @property
+    def members(self) -> tuple:
+        """The task's member chunks; a task without ``members`` is one
+        chunk, its own only member."""
+        return getattr(self.task, "members", (self.task,))
 
 
 def _terminate_pool(executor) -> None:
@@ -167,12 +178,16 @@ def run_resilient(
     config: ResilienceConfig,
     metric_prefix: str = "engine.",
     on_restart: Optional[Callable[[], None]] = None,
+    faults: Optional[FaultPlan] = None,
 ) -> FailureReport:
     """Run every task to completion through a respawnable process pool.
 
     ``worker_fn`` is the module-level worker entry point; ``tasks`` are
-    frozen dataclasses with ``unit``, ``chunk`` and ``attempt`` fields
-    (the attempt is stamped on submission via ``dataclasses.replace``).
+    frozen dataclasses with an ``attempt`` field (stamped on submission
+    via ``dataclasses.replace``) and either ``members`` — member chunks,
+    each with a ``unit`` and a ``chunk`` — or a ``unit`` and a ``chunk``
+    of their own.  ``faults`` is the plan the workers trip, member by
+    member; a failure is recorded under the member whose fault fired.
     ``handle_outcome(task, outcome)`` merges a completed chunk and returns
     True when it improved the unit's best counterexample — the loop then
     prunes any pending/queued chunk for which ``may_skip`` has become
@@ -236,19 +251,37 @@ def run_resilient(
         if handle_outcome(flight.task, outcome):
             prune()
 
-    def degrade(flight: _Flight, kind: str, error: object) -> None:
-        report.chunks_degraded += 1
-        count("chunks_degraded")
+    def record(flight: _Flight, kind: str, error: object, degraded: bool) -> None:
+        # Workers trip the members in order, so the first member the plan
+        # faults at this attempt is the one whose fault fired.
+        members = flight.members
+        culprit = members[0]
+        if faults is not None:
+            culprit = next(
+                (
+                    member
+                    for member in members
+                    if faults.fault_for(
+                        member.unit, member.chunk.ordinal, flight.attempt
+                    )
+                ),
+                culprit,
+            )
         report.records.append(
             FailureRecord(
-                unit=flight.task.unit,
-                ordinal=flight.task.chunk.ordinal,
+                unit=culprit.unit,
+                ordinal=culprit.chunk.ordinal,
                 kind=kind,
                 attempt=flight.attempt,
                 error=str(error),
-                degraded=True,
+                degraded=degraded,
             )
         )
+
+    def degrade(flight: _Flight, kind: str, error: object) -> None:
+        report.chunks_degraded += 1
+        count("chunks_degraded")
+        record(flight, kind, error, degraded=True)
         if not may_skip(flight.task):
             absorb(flight, serial_eval(flight.task))
 
@@ -258,16 +291,7 @@ def run_resilient(
             return
         report.retries += 1
         count("retries")
-        report.records.append(
-            FailureRecord(
-                unit=flight.task.unit,
-                ordinal=flight.task.chunk.ordinal,
-                kind=kind,
-                attempt=flight.attempt,
-                error=str(error),
-                degraded=False,
-            )
-        )
+        record(flight, kind, error, degraded=False)
         delay = min(config.backoff_cap, config.backoff_base * (2**flight.attempt))
         delayed.append(
             (time.monotonic() + delay, _Flight(flight.task, flight.attempt + 1))
@@ -381,12 +405,14 @@ def run_resilient(
                     for future, flight in pending.items()
                     if not future.done()
                     and flight.started_at is not None
-                    and now - flight.started_at > config.chunk_timeout
+                    and now - flight.started_at
+                    > config.chunk_timeout * len(flight.members)
                 }
                 if hung:
                     recover(
                         {future: "timeout" for future in hung},
-                        f"chunk exceeded the {config.chunk_timeout}s timeout",
+                        f"task exceeded its {config.chunk_timeout}s per-chunk "
+                        "timeout",
                     )
     finally:
         try:

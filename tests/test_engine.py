@@ -441,7 +441,7 @@ class TestGroupedTasks:
         state = _build_worker_state(VOCAB3, operators)
         alone = sum(
             chunk_outcome.result_misses
-            for task in _pool_tasks(units, _chunk_task, _operator_ordinal, set())
+            for task in _pool_tasks(units, _chunk_task, _operator_ordinal, set(), 2)
             for chunk_outcome in evaluate_chunks(state, task.members)
         )
         assert alone > 0
@@ -518,3 +518,24 @@ class TestGroupedTasks:
         assert resumed.stats.chunks_skipped == len(lines) - len(dropped)
         journal = os.stat(path)
         assert synced.count((journal.st_dev, journal.st_ino)) == 2
+
+    def test_fewer_keys_than_workers_deal_members_over_every_worker(self):
+        """One operator at one chunk ordinal is one key; at ``jobs=2``
+        its axioms are dealt over two tasks, so no worker idles, and
+        each member chunk is still evaluated exactly once."""
+        operators = [DalalRevision()]
+        units = _plan_units(operators, ALL_AXIOMS, VOCAB3, 500, 77, DEFAULT_CHUNK_SIZE)
+        members = sorted((unit_id, 0) for unit_id in range(len(units)))
+        for jobs, expected in ((1, 1), (2, 2), (4, 4)):
+            tasks = _pool_tasks(units, _chunk_task, _operator_ordinal, set(), jobs)
+            assert len(tasks) == expected
+            assert sorted(
+                (member.unit, member.chunk.ordinal)
+                for task in tasks
+                for member in task.members
+            ) == members
+        audit = dict(max_scenarios=500, rng=77, stop_at_first=False)
+        pooled = run_audit(operators, ALL_AXIOMS, VOCAB3, jobs=2, **audit)
+        serial = run_audit(operators, ALL_AXIOMS, VOCAB3, jobs=1, **audit)
+        assert pooled.results == serial.results
+        assert pooled.stats.chunks == len(units)

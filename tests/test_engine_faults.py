@@ -14,7 +14,8 @@ respawn, and parent-side serial degradation — through the deterministic
 import dataclasses
 import random
 import signal
-from concurrent.futures import Future
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -363,3 +364,63 @@ class TestWeightedFaultRecovery:
         assert faulty.results == base.results
         assert faulty.failures.chunks_degraded == 1
         assert faulty.stats.chunks_degraded == 1
+
+
+class TestTaskFailures:
+    """A Boolean pool task carries one operator's chunk of several
+    axioms; its failures are named, and its time budgeted, per member
+    chunk."""
+
+    @pytest.mark.parametrize("kind", ["raise", "kill"])
+    def test_record_names_the_member_whose_fault_fired(self, kind):
+        """Unit 5 (revesz-odist/A8) rides in a task with units 3 and 4;
+        its fault is recorded under unit 5, not the task's first member."""
+        faulty = run_audit(
+            OPERATORS,
+            AXIOMS,
+            VOCAB2,
+            jobs=2,
+            stop_at_first=False,
+            faults=FaultPlan((FaultSpec(kind, unit=5, ordinal=1, times=1),)),
+            **AUDIT,
+        )
+        named = [
+            (record.unit, record.ordinal, record.attempt)
+            for record in faulty.failures.records
+        ]
+        if kind == "raise":
+            assert named == [(5, 1, 0)]
+        else:  # every task seen running when the worker died is charged
+            assert (5, 1, 0) in named
+
+    @staticmethod
+    def _run_sleeping(task, chunk_timeout):
+        handled = []
+        report = run_resilient(
+            [task],
+            lambda task: time.sleep(0.4) or "pool",
+            lambda: ThreadPoolExecutor(max_workers=1),
+            lambda task, outcome: handled.append(outcome) or False,
+            lambda task: False,
+            lambda task: "serial",
+            ResilienceConfig(chunk_timeout=chunk_timeout, max_retries=0),
+        )
+        return report, handled
+
+    def test_timeout_is_a_budget_per_member_chunk(self):
+        """``chunk_timeout`` keeps its per-chunk meaning: a 0.4 s task of
+        four chunks fits four 0.2 s budgets, while a 0.4 s single chunk
+        overruns its one and degrades."""
+        chunk = ChunkSpec(ordinal=0, start=0, count=1)
+        members = tuple(_Task(unit, chunk) for unit in range(4))
+        report, handled = self._run_sleeping(_Group(members), 0.2)
+        assert report.ok and handled == ["pool"]
+        report, handled = self._run_sleeping(_Task(0, chunk), 0.2)
+        assert [record.kind for record in report.records] == ["timeout"]
+        assert handled == ["serial"]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Group:
+    members: tuple
+    attempt: int = 0
