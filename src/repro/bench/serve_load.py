@@ -120,10 +120,11 @@ def _direct_replay(
     Same session ids, seeds, verbs and formulas as :func:`_run_client`,
     and the same work as the server minus the HTTP: a registry of its own
     (so every change is computed, not read from the served run's result
-    cache), and every create and change builds its ``state()`` body and
-    every ``ask`` its answer body, digested as :func:`_run_client`
-    digests the served ones.  This is the hardware calibration that makes
-    the gated ``speedup`` ratio machine-robust.
+    cache), and every create builds its ``state()`` body and every query
+    body is answered by :meth:`Session.query`, as the server answers it,
+    digested as :func:`_run_client` digests the served ones.  This is the
+    hardware calibration that makes the gated ``speedup`` ratio
+    machine-robust.
     """
     from repro.session import Session
 
@@ -146,16 +147,11 @@ def _direct_replay(
         for step in range(queries_per_client):
             formula = random_formula(vocabulary, FORMULA_DEPTH, rng_seed + step)
             verb = _VERBS[step % len(_VERBS)]
-            getattr(session, verb)(str(formula))
-            respond(200, {"ok": True, "op": verb, "session": session.state()})
+            respond(200, session.query({"op": verb, "formula": str(formula)}))
             operations += 1
             if step % len(_VERBS) == len(_VERBS) - 1:
                 probe = random_formula(vocabulary, 1, rng_seed + step + 7)
-                answer = session.ask(str(probe))
-                respond(
-                    200,
-                    {"ok": True, "session": session_id, "op": "ask", "answer": answer},
-                )
+                respond(200, session.query({"op": "ask", "formula": str(probe)}))
                 operations += 1
         combined.update(digest.hexdigest().encode())
     elapsed = time.perf_counter() - started

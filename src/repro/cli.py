@@ -517,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=None,
         help="zero-copy shared-memory arenas for pool workers "
-        "(default: auto when available; REPRO_SHM=0/1 overrides)",
+        "(default: auto when available)",
     )
     audit_parser.add_argument(
         "--journal",

@@ -53,16 +53,14 @@ class ArbitrationOperator(TheoryChangeOperator):
 
     def apply_models(self, psi: ModelSet, phi: ModelSet) -> ModelSet:
         self._check_vocabularies(psi, phi)
-        union = psi.union(phi)
-        universe = ModelSet.universe(psi.vocabulary)
-        return self._fitting.apply_models(union, universe)
+        return self.merge_models([psi, phi])
 
     def merge_models(self, sources: Sequence[ModelSet]) -> ModelSet:
         """N-ary consensus: fit ℳ to the union of all sources' models.
 
-        With two sources this coincides with :meth:`apply_models`; the
-        n-ary form generalizes ``(ψ₁ ∨ … ∨ ψₖ) ▷ ⊤`` and stays
-        order-independent (the union is a set operation).
+        :meth:`apply_models` is its two-source case; the n-ary form
+        generalizes ``(ψ₁ ∨ … ∨ ψₖ) ▷ ⊤`` and stays order-independent
+        (the union is a set operation).
         """
         if not sources:
             raise VocabularyError("merge requires at least one source")

@@ -95,10 +95,13 @@ class ApplyTable:
                 # degrade to a private copy rather than corrupt (or crash
                 # on) the read-only mapping.
                 self._table = self._table.copy()
-            pairs = np.unique(
-                np.stack([psi_bits[missing], mu_bits[missing]], axis=1), axis=0
-            )
-            for psi, mu in pairs.tolist():
+            # One integer key per (ψ, μ) pair, deduped as a Python set
+            # (the first ``np.unique`` of a process imports numpy.ma) and
+            # filled in sorted (ψ, μ) order.
+            universe = self._table.shape[1]
+            keys = psi_bits[missing] * universe + mu_bits[missing]
+            for key in sorted(set(keys.tolist())):
+                psi, mu = divmod(key, universe)
                 self._table[psi, mu] = self._operator.apply_bits(psi, mu)
             values = self._table[psi_bits, mu_bits]
         return values

@@ -66,8 +66,7 @@ Two orthogonal run-scale layers ride on the same chunk determinism:
   shared-memory :class:`~repro.engine.shm.Arena`, and workers map
   read-only views instead of rebuilding.  Any attach failure falls back
   to the rebuild path per segment, bit-identically.  ``shm=None`` (the
-  default) auto-enables when available; the ``REPRO_SHM`` environment
-  variable (``0``/``1``) overrides either way.
+  default) auto-enables when available.
 * **journaled resume** (:mod:`repro.engine.journal`, Boolean sweeps
   only): with ``journal_dir`` every completed chunk is durably recorded,
   one record per (unit, ordinal); a killed sweep resumed with
@@ -723,9 +722,6 @@ def _run_sweep(
         chunk_journal, completed = journal(units)
     stats.chunks_skipped = len(completed)
 
-    env_shm = os.environ.get("REPRO_SHM", "").strip()
-    if env_shm in {"0", "1"}:
-        shm = env_shm == "1"
     if shm and not shm_available():
         warnings.warn(
             f"{label}: shared-memory arenas unavailable (numpy or "
@@ -1045,7 +1041,7 @@ def run_audit(
     (defaults to the ``REPRO_FAULTS`` environment plan, if any).
 
     ``shm`` selects the zero-copy arena path (``None`` = auto when
-    available; the ``REPRO_SHM`` env var, ``0``/``1``, overrides both).
+    available).
     ``journal_dir`` makes the sweep resumable: every completed chunk is
     durably journaled there, and ``resume=True`` replays a prior
     journal's chunks — refusing on any configuration mismatch — before

@@ -19,7 +19,7 @@ one on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from repro.core.arbitration import ArbitrationOperator
 from repro.core.fitting import ModelFittingOperator, ReveszFitting
@@ -33,9 +33,40 @@ from repro.operators.base import TheoryChangeOperator
 from repro.operators.revision import DalalRevision
 from repro.operators.update import WinslettUpdate
 
-__all__ = ["ChangeRecord", "KnowledgeBase"]
+__all__ = ["VERBS", "ChangeRecord", "KnowledgeBase", "ask_models", "verb_argument"]
 
 FormulaLike = Union[str, Formula]
+
+#: The Boolean verb table: every op a knowledge base answers, and the
+#: argument it takes — one ``formula``, or a list of ``sources``.  A
+#: caller that turns a name into a verb call (the server, the shell, the
+#: soak harness, the load replay) looks the name up here.
+VERBS: Mapping[str, str] = {
+    "revise": "formula", "update": "formula", "fit": "formula", "arbitrate": "formula",
+    "contract": "formula", "erase": "formula", "merge": "sources", "ask": "formula",
+}
+
+
+def verb_argument(verbs: Mapping[str, str], op: Any, family: str) -> str:
+    """The argument ``op`` takes in the verb table ``verbs``; an op the
+    table does not list, a name or any other JSON value, is a
+    :class:`ReproError` naming the ones it does."""
+    argument = verbs.get(op) if isinstance(op, str) else None
+    if argument is None:
+        raise ReproError(f"unknown op {op!r} for {family}; expected one of {list(verbs)}")
+    return argument
+
+
+def ask_models(model_set: ModelSet, query: FormulaLike) -> str:
+    """The three-valued answer of a theory with the models ``model_set``:
+    ``"yes"`` when it entails ``query``, ``"no"`` when it entails its
+    negation, ``"unknown"`` otherwise."""
+    query_models = models(as_formula(query), model_set.vocabulary)
+    if model_set.issubset(query_models):
+        return "yes"
+    if model_set.intersection(query_models).is_empty:
+        return "no"
+    return "unknown"
 
 
 @dataclass(frozen=True)
@@ -63,8 +94,8 @@ class KnowledgeBase:
     their models.  A change's successor and a load come from
     ``_with_models`` instead, which reuses the vocabulary, operators,
     constraints and Mod(IC) it is called on.  Mod(IC) is held only when
-    the constraints exclude some world: otherwise no verb but ``merge``
-    needs Mod(⊤), and ``merge`` builds it.
+    the constraints exclude some world: otherwise only the consensus of
+    ``arbitrate`` and ``merge`` needs Mod(⊤), and it builds it.
 
     >>> kb = KnowledgeBase("A & B & (A & B -> C)", atoms=["A", "B", "C"])
     >>> kb.revise("!C")
@@ -223,12 +254,32 @@ class KnowledgeBase:
         self, operation: str, operator: TheoryChangeOperator, incoming: Formula
     ) -> "KnowledgeBase":
         incoming_models = models(incoming, self._vocabulary)
-        if self._constraint_models is not None and operation != "arbitrate":
+        if self._constraint_models is not None:
             # Integrity constraints restrict what the incoming information
             # may establish: change by μ ∧ IC (the GMR92-style reading).
             incoming_models = incoming_models.intersection(self._constraint_models)
         after = operator.apply_models(self._models, incoming_models)
         return self._record(operation, operator.name, incoming, after)
+
+    def _consensus(
+        self, operation: str, voices: Sequence[Formula], incoming: Formula
+    ) -> "KnowledgeBase":
+        """The current theory and ``voices`` as equal voices,
+        ``(ψ ∨ φ₁ ∨ … ∨ φₖ) ▷ ⊤``: fitting against Mod(⊤) is exactly
+        ``ArbitrationOperator(fitting).merge_models``.  Under integrity
+        constraints the consensus is sought among the worlds they allow,
+        ``(ψ ∨ φ₁ ∨ … ∨ φₖ) ▷ IC`` (the IC-merging reading of Δ_IC)."""
+        union = self._models
+        for formula in voices:
+            union = union.union(models(formula, self._vocabulary))
+        if self._constraint_models is None:
+            target = ModelSet.universe(self._vocabulary)
+            operator = ArbitrationOperator(self._fitting).name
+        else:
+            target = self._constraint_models
+            operator = f"constrained-{self._fitting.name}"
+        after = self._fitting.apply_models(union, target)
+        return self._record(operation, operator, incoming, after)
 
     def revise(self, new_information: FormulaLike) -> "KnowledgeBase":
         """AGM/KM revision: the new information is more reliable."""
@@ -243,50 +294,18 @@ class KnowledgeBase:
         return self._changed("fit", self._fitting, as_formula(new_information))
 
     def arbitrate(self, new_information: FormulaLike) -> "KnowledgeBase":
-        """Arbitration ``ψ Δ φ``: old and new are equal voices.
-
-        Under integrity constraints this becomes constrained fitting
-        ``(ψ ∨ φ) ▷ IC`` — the consensus is sought among the worlds the
-        constraints allow (the IC-merging reading of Δ_IC).
-        """
-        if self._constraint_models is None:
-            operator: TheoryChangeOperator = ArbitrationOperator(self._fitting)
-            return self._changed(
-                "arbitrate", operator, as_formula(new_information)
-            )
+        """Arbitration ``ψ Δ φ``: old and new are equal voices, the
+        one-voice case of :meth:`merge`."""
         incoming = as_formula(new_information)
-        union = self._models.union(models(incoming, self._vocabulary))
-        after = self._fitting.apply_models(union, self._constraint_models)
-        return self._record(
-            "arbitrate", f"constrained-{self._fitting.name}", incoming, after
-        )
+        return self._consensus("arbitrate", (incoming,), incoming)
 
     def merge(self, sources: Sequence[FormulaLike]) -> "KnowledgeBase":
         """N-ary consensus: the current theory is one voice among the
-        sources, ``(ψ ∨ φ₁ ∨ … ∨ φₖ) ▷ ⊤``, recorded as one ``merge`` step
-        in the provenance log.
-
-        Under integrity constraints the consensus is sought among the
-        worlds they allow, ``(ψ ∨ φ₁ ∨ … ∨ φₖ) ▷ IC``, as in
-        :meth:`arbitrate`.
-        """
+        sources, recorded as one ``merge`` step in the provenance log."""
         if not sources:
             raise ReproError("merge requires at least one source")
         parsed = [as_formula(source) for source in sources]
-        union = self._models
-        for formula in parsed:
-            union = union.union(models(formula, self._vocabulary))
-        if self._constraint_models is None:
-            # Fitting against Mod(⊤) is exactly
-            # ArbitrationOperator(fitting).merge_models([ψ, φ₁, …, φₖ]).
-            after = self._fitting.apply_models(
-                union, ModelSet.universe(self._vocabulary)
-            )
-            operator = ArbitrationOperator(self._fitting).name
-        else:
-            after = self._fitting.apply_models(union, self._constraint_models)
-            operator = f"constrained-{self._fitting.name}"
-        return self._record("merge", operator, disjoin(parsed), after)
+        return self._consensus("merge", parsed, disjoin(parsed))
 
     def contract(self, retracted: FormulaLike) -> "KnowledgeBase":
         """Stop believing ``retracted`` (Harper-identity contraction over
@@ -307,15 +326,8 @@ class KnowledgeBase:
     # -- query answering -----------------------------------------------------
 
     def ask(self, query: FormulaLike) -> str:
-        """Three-valued query answer: ``"yes"`` when the knowledge base
-        entails the query, ``"no"`` when it entails its negation,
-        ``"unknown"`` otherwise."""
-        query_models = models(as_formula(query), self._vocabulary)
-        if self._models.issubset(query_models):
-            return "yes"
-        if self._models.intersection(query_models).is_empty:
-            return "no"
-        return "unknown"
+        """Three-valued query answer (:func:`ask_models`)."""
+        return ask_models(self._models, query)
 
     # -- dunder ----------------------------------------------------------------------
 

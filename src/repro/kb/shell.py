@@ -13,11 +13,13 @@ A tiny line-oriented REPL around one :class:`KnowledgeBase` session:
     repro> undo
     repro> show
 
-Commands: ``init``, ``constrain``, ``revise``, ``update``, ``arbitrate``,
-``fit``, ``contract``, ``erase``, ``ask``, ``show``, ``models``,
-``history``, ``undo``, ``help``, ``quit``.  The shell is a thin loop over
-the library façade, usable programmatically (tests drive it through
-string I/O).
+Commands: ``init``, ``constrain``, ``show``, ``models``, ``history``,
+``undo``, ``help``, ``quit``, and every op of the Boolean verb table
+(:data:`~repro.kb.knowledge_base.VERBS`): ``revise``, ``update``,
+``fit``, ``arbitrate``, ``contract``, ``erase``, ``merge`` (sources
+separated by ``;``) and ``ask``.  The shell is a thin loop over the
+library façade, usable programmatically (tests drive it through string
+I/O).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, TextIO
 
 from repro.errors import ReproError
-from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.knowledge_base import VERBS, KnowledgeBase
 
 __all__ = ["Shell"]
 
@@ -38,6 +40,7 @@ _HELP = """commands:
   fit <formula>         model-fitting psi > mu
   contract <formula>    stop believing
   erase <formula>       erase (update dual)
+  merge <f1>; <f2>; ... consensus with the sources (equal voices)
   ask <formula>         yes / no / unknown
   show                  print the current theory (minimized)
   models                print the current models
@@ -84,14 +87,16 @@ class Shell:
         ]
         self._print(f"ok: {len(self._current().model_set)} model(s) under constraints")
 
-    def _change(self, verb: str, argument: str) -> None:
-        current = self._current()
-        changed = getattr(current, verb)(argument)
-        self._push(changed)
-        self._print(f"ok: {len(changed.model_set)} model(s)")
-
-    def _cmd_ask(self, argument: str) -> None:
-        self._print(self._current().ask(argument))
+    def _verb(self, op: str, argument: str) -> None:
+        """Run a verb of the Boolean table: print an ``ask`` answer, push
+        a change."""
+        value = argument.split(";") if VERBS[op] == "sources" else argument
+        result = getattr(self._current(), op)(value)
+        if op == "ask":
+            self._print(result)
+            return
+        self._push(result)
+        self._print(f"ok: {len(result.model_set)} model(s)")
 
     def _cmd_show(self, argument: str) -> None:
         self._print(str(self._current().to_formula()))
@@ -132,25 +137,20 @@ class Shell:
         handlers: dict[str, Callable[[str], None]] = {
             "init": self._cmd_init,
             "constrain": self._cmd_constrain,
-            "ask": self._cmd_ask,
             "show": self._cmd_show,
             "models": self._cmd_models,
             "history": self._cmd_history,
             "undo": self._cmd_undo,
             "help": self._cmd_help,
         }
+        if (command in ("init", "constrain") or command in VERBS) and not argument:
+            self._print(f"usage: {command} <{VERBS.get(command, 'formula')}>")
+            return True
         try:
             if command in handlers:
-                if command in ("init", "constrain", "ask") and not argument:
-                    self._print(f"usage: {command} <formula>")
-                    return True
                 handlers[command](argument)
-            elif command in ("revise", "update", "arbitrate", "fit",
-                             "contract", "erase"):
-                if not argument:
-                    self._print(f"usage: {command} <formula>")
-                    return True
-                self._change(command, argument)
+            elif command in VERBS:
+                self._verb(command, argument)
             else:
                 self._print(f"unknown command {command!r}; try: help")
         except ReproError as error:

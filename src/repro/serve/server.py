@@ -47,37 +47,10 @@ from repro.serve.protocol import (
     render_response,
 )
 from repro.serve.store import SessionStore
-from repro.session import (
-    AUTO,
-    ContextRegistry,
-    Session,
-    WeightedSession,
-    default_registry,
-)
-from repro.session.session import validate_session_id
+from repro.session import AUTO, ContextRegistry, default_registry
+from repro.session.session import SESSION_KINDS, validate_session_id
 
 __all__ = ["ServeConfig", "ArbitrationServer", "run_server"]
-
-#: Boolean-session query verbs (weighted sessions support a subset plus
-#: per-source weights).
-_BOOLEAN_OPS = (
-    "revise",
-    "update",
-    "fit",
-    "arbitrate",
-    "merge",
-    "contract",
-    "ask",
-)
-_WEIGHTED_OPS = ("fit", "arbitrate", "merge", "ask")
-
-
-def _as_weight(value: Any) -> Optional[int]:
-    """Coerce a client-supplied weight to ``int``; ``None`` if malformed."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: 1e999
-        return None
 
 
 @dataclass
@@ -445,26 +418,8 @@ class ArbitrationServer:
                 "ok": False,
                 "error": f"session {session_id!r} already exists",
             }
-        formula = body.get("formula", "true")
-        if body.get("weighted"):
-            weight = _as_weight(body.get("weight", 1))
-            if weight is None:
-                return 400, {"ok": False, "error": "'weight' must be an integer"}
-            session = WeightedSession(
-                session_id,
-                atoms=atoms,
-                formula=formula,
-                weight=weight,
-            )
-        else:
-            session = Session(
-                session_id,
-                atoms=atoms,
-                formula=formula,
-                operators=body.get("operators"),
-                impl=body.get("impl", self.config.impl),
-                registry=self.registry,
-            )
+        session_class = SESSION_KINDS["weighted" if body.get("weighted") else "boolean"]
+        session = session_class.from_request(body, self.registry, self.config.impl)
         self._sessions[session_id] = session
         try:
             self._snapshot(session)
@@ -501,61 +456,9 @@ class ArbitrationServer:
         session = self._get_session(session_id)
         if session is None:
             return 404, {"ok": False, "error": f"unknown session {session_id!r}"}
-        op = body.get("op")
-        weighted = isinstance(session, WeightedSession)
-        allowed = _WEIGHTED_OPS if weighted else _BOOLEAN_OPS
-        if op not in allowed:
-            kind = "weighted" if weighted else "boolean"
-            return 400, {
-                "ok": False,
-                "error": f"unknown op {op!r} for {kind} sessions; "
-                f"expected one of {list(allowed)}",
-            }
-        if op == "ask":
-            formula = body.get("formula")
-            if not formula:
-                return 400, {"ok": False, "error": "ask needs a 'formula'"}
-            return 200, {
-                "ok": True,
-                "session": session_id,
-                "op": "ask",
-                "answer": session.ask(formula),
-            }
-        if op == "merge":
-            sources = body.get("sources")
-            if not sources or not isinstance(sources, list):
-                return 400, {
-                    "ok": False,
-                    "error": "merge needs a non-empty 'sources' list",
-                }
-            if weighted:
-                weights = None
-                if body.get("weights") is not None:
-                    raw = body["weights"]
-                    weights = (
-                        [_as_weight(value) for value in raw]
-                        if isinstance(raw, list)
-                        else [None]
-                    )
-                    if any(weight is None for weight in weights):
-                        return 400, {
-                            "ok": False,
-                            "error": "'weights' must be a list of integers",
-                        }
-                session.merge(sources, weights=weights)
-            else:
-                session.merge(sources)
-        else:
-            formula = body.get("formula")
-            if not formula:
-                return 400, {"ok": False, "error": f"{op} needs a 'formula'"}
-            if weighted:
-                weight = _as_weight(body.get("weight", 1))
-                if weight is None:
-                    return 400, {"ok": False, "error": "'weight' must be an integer"}
-                getattr(session, op)(formula, weight=weight)
-            else:
-                getattr(session, op)(formula)
+        response = session.query(body)
+        if response["op"] == "ask":
+            return 200, response
         try:
             self._snapshot(session)
         except Exception as error:
@@ -573,7 +476,7 @@ class ArbitrationServer:
                 "ok": False,
                 "error": f"persistence failed; operation rolled back: {error}",
             }
-        return 200, {"ok": True, "op": op, "session": session.state()}
+        return 200, response
 
     def _snapshot(self, session) -> None:
         if self.store is None:

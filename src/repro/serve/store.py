@@ -21,8 +21,9 @@ store remembers, per session id, how many records the file holds and
 the last of them (its *position*; before any, the model set the first
 change starts from).  :meth:`SessionStore.save` appends only when that
 object is still the session's at that index, i.e. the session in hand
-descends from what the file holds; otherwise — on create, for weighted sessions (they keep no provenance
-log), for sessions this store neither wrote nor loaded, and for files
+descends from what the file holds; otherwise — on create, for weighted
+sessions (they keep no provenance log), for sessions this store neither
+wrote nor loaded, and for files
 in the indented layout earlier versions wrote, which cannot take
 appended lines — it replaces the whole file with a fresh base line.
 The position is dropped on delete and before every write, so a failed
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from repro.errors import ReproError
 from repro.kb.knowledge_base import ChangeRecord, KnowledgeBase
@@ -55,16 +56,14 @@ from repro.kb.serialize import (
     check_knowledge_base_dict,
     decode_json_lines,
 )
-from repro.session import ContextRegistry, Session, WeightedSession
-from repro.session.session import validate_session_id
+from repro.session import ContextRegistry, Session
+from repro.session.session import SESSION_KINDS, validate_session_id
 
 __all__ = ["SNAPSHOT_VERSION", "SessionStore"]
 
 #: Outer version stamp of serve-session snapshot files (the embedded
 #: knowledge-base payload carries the serializer's own version).
 SNAPSHOT_VERSION = 1
-
-AnySession = Union[Session, WeightedSession]
 
 _WHAT = "session snapshot"
 
@@ -142,7 +141,7 @@ class SessionStore:
                 ids.append(name[: -len(".json")])
         return sorted(ids)
 
-    def save(self, session: AnySession) -> str:
+    def save(self, session) -> str:
         """Durably record the session; returns the file path.
 
         Appends the records the session gained since this store last
@@ -151,7 +150,7 @@ class SessionStore:
         """
         path = self.path_for(session.session_id)
         position = self._positions.pop(session.session_id, None)
-        records = _since(session.kb, position) if isinstance(session, Session) else None
+        records = _since(session.kb, position) if session.logged else None
         if records is None:
             payload = {
                 "version": SNAPSHOT_VERSION,
@@ -161,7 +160,7 @@ class SessionStore:
             atomic_write_text(path, canonical_json(payload) + "\n")
         elif records:
             append_json_lines(path, [change_record_to_dict(r) for r in records])
-        if isinstance(session, Session):
+        if session.logged:
             self._positions[session.session_id] = _position(session.kb)
         return path
 
@@ -169,7 +168,7 @@ class SessionStore:
         self,
         session_id: str,
         registry: Optional[ContextRegistry] = None,
-    ) -> Optional[AnySession]:
+    ):
         """Rebuild a session from its file; ``None`` when absent.
 
         Torn, foreign or malformed files are refused with
@@ -202,30 +201,31 @@ class SessionStore:
                 f"session snapshot at {path} names id {data.get('id')!r}, "
                 f"expected {session_id!r}"
             )
-        weighted = data.get("session_kind") == WeightedSession.kind
-        if weighted and records:
-            raise ReproError(
-                f"bad {_WHAT} at line 2 of {path}: "
-                "a weighted session keeps no change records"
-            )
+        kind = data.get("session_kind", Session.kind)
+        session_class = SESSION_KINDS.get(kind) if isinstance(kind, str) else None
         kb = data.get("kb")
         try:
+            if session_class is None:
+                raise ReproError(f"unknown session kind {kind!r}")
             if not isinstance(kb, dict):
                 raise ReproError(f"'kb' must be an object, got {type(kb).__name__}")
-            if not weighted:
+            if session_class.logged:
                 check_knowledge_base_dict(kb)
         except ReproError as error:
             raise ReproError(f"bad {_WHAT} at line 1 of {path}: {error}") from error
         if records:
+            if not session_class.logged:
+                raise ReproError(
+                    f"bad {_WHAT} at line 2 of {path}: "
+                    f"a {kind} session keeps no change records"
+                )
             kb["history"] = kb.get("history", []) + records
             kb["masks"] = records[-1]["after"]
         try:
-            if weighted:
-                return WeightedSession.from_payload(data)
-            session = Session.from_payload(data, registry=registry)
+            session = session_class.from_payload(data, registry=registry)
         except ReproError as error:
             raise ReproError(f"bad {_WHAT} at {path}: {error}") from error
-        if appendable:
+        if appendable and session.logged:
             self._positions[session_id] = _position(session.kb)
         return session
 

@@ -32,7 +32,7 @@ from repro import obs
 from repro.core.fitting import ReveszFitting
 from repro.engine.journal import ChunkJournal
 from repro.errors import ReproError
-from repro.kb.knowledge_base import KnowledgeBase
+from repro.kb.knowledge_base import VERBS, KnowledgeBase, verb_argument
 from repro.kb.serialize import (
     canonical_digest,
     check_fields,
@@ -141,15 +141,14 @@ def check_soak_record(record: Any) -> None:
 
 
 def _apply_step(kb: KnowledgeBase, step: SoakStep) -> KnowledgeBase:
-    if step.kind == "revise":
-        return kb.revise(step.formulas[0])
-    if step.kind == "update":
-        return kb.update(step.formulas[0])
-    if step.kind == "arbitrate":
-        return kb.arbitrate(step.formulas[0])
-    if step.kind == "merge":
-        return kb.merge(step.formulas)
-    raise ReproError(f"unknown soak step kind {step.kind!r}")
+    """The knowledge base after ``step``: its verb, looked up in the
+    Boolean verb table, on the step's formula (on all of them for a verb
+    that takes sources).  An ``ask`` changes nothing."""
+    argument = verb_argument(VERBS, step.kind, "soak steps")
+    result = getattr(kb, step.kind)(
+        step.formulas if argument == "sources" else step.formulas[0]
+    )
+    return kb if step.kind == "ask" else result
 
 
 def run_soak(

@@ -11,7 +11,11 @@ import json
 import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 from itertools import islice, product
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -176,6 +180,48 @@ class TestBatchedCaches:
                 )
             )
             assert batched.apply_bits(psi_bits, mu_bits) == scalar
+
+
+class TestApplyTable:
+    def test_lazy_fill_in_a_fresh_process_leaves_numpy_ma_unimported(self):
+        """A lookup with missing (ψ, μ) pairs fills each entry with
+        ``apply_bits(ψ, μ)``, and its dedupe imports no ``numpy.ma``: a
+        2-D ``np.unique(..., axis=0)`` would, which costs every pool
+        worker's first lazily filled table several milliseconds."""
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import numpy as np
+
+            from repro.engine.batched import BatchedOperator
+            from repro.engine.bitops import ApplyTable
+            from repro.logic.interpretation import Vocabulary
+            from repro.operators.revision import DalalRevision
+
+            batched = BatchedOperator(DalalRevision(), Vocabulary(["a", "b"]))
+            table = ApplyTable(batched, 16)
+            psi = [5, 3, 5, 0, 15, 3, 6]
+            mu = [9, 12, 9, 7, 1, 12, 9]
+            values = table.lookup(
+                np.array(psi, dtype=np.int64), np.array(mu, dtype=np.int64)
+            )
+            expected = [batched.apply_bits(p, m) for p, m in zip(psi, mu)]
+            assert values.tolist() == expected, (values.tolist(), expected)
+            assert table.filled == 5, table.filled
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 # One shared wrapper per (operator, vocabulary) for the differential fuzz:

@@ -240,19 +240,6 @@ class TestAuditParity:
         assert with_shm.stats.shm_bytes >= MIN_SHARED_BYTES
         assert without_shm.stats.shm_segments == 0
 
-    def test_env_override_wins_both_ways(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        disabled = run_audit(
-            OPERATORS, AXIOMS, VOCAB3, jobs=2, shm=True, **AUDIT
-        )
-        assert disabled.stats.shm_segments == 0
-        monkeypatch.setenv("REPRO_SHM", "1")
-        enabled = run_audit(
-            OPERATORS, AXIOMS, VOCAB3, jobs=2, shm=False, **AUDIT
-        )
-        assert enabled.stats.shm_segments > 0
-        assert_results_identical(enabled, disabled)
-
     def test_weighted_shm_on_off_serial_identical(self):
         vocabulary = Vocabulary([chr(ord("a") + i) for i in range(7)])
         operator = WeightedModelFitting()
